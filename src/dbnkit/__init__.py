@@ -6,7 +6,6 @@ with brute-force enumeration oracles for validating every exact algorithm.
 """
 
 from .chmm import (
-    ChmmForwardResult,
     ChmmPosterior,
     chmm_backward,
     chmm_em,
@@ -15,7 +14,7 @@ from .chmm import (
     chmm_smooth,
 )
 from .convert import flatten_chmm, flatten_obs, hmm_to_chmm, unroll_tbn
-from .decoding import DecodeResult, truncated_viterbi, viterbi
+from .decoding import DecodeResult, viterbi
 from .errors import (
     DbnError,
     DegenerateWeightsError,
@@ -69,7 +68,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AllenRelation",
     "BackwardResult",
-    "ChmmForwardResult",
     "ChmmModel",
     "ChmmPosterior",
     "DbnError",
@@ -121,7 +119,6 @@ __all__ = [
     "save_model",
     "save_observations",
     "smooth",
-    "truncated_viterbi",
     "unroll_tbn",
     "validate_chmm",
     "validate_hmm",

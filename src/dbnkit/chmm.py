@@ -1,9 +1,11 @@
 """Direct joint inference and EM for coupled HMMs.
 
-The forward/backward recursions run over joint chain-state tuples, stored
-as flat row-major indices (chain 0 slowest).  The joint transition is built
-tuple by tuple from the renormalized product of each chain's parent
-coupling rows; this is kept structurally separate from
+A coupled HMM is an HMM over joint chain-state tuples, stored as flat
+row-major indices (chain 0 slowest), whose evidence factorises over chains:
+the evidence table multiplies each chain's emission column, and the scaled
+recursion and E-step are the shared ones in :mod:`dbnkit.inference`.  The
+joint transition is built tuple by tuple from the renormalized product of
+each chain's parent coupling rows; this is kept structurally separate from
 ``convert.flatten_chmm`` so the two routes can cross-validate each other.
 """
 
@@ -14,26 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ImpossibleObservationError, SizeCapError
+from .convert import _checked_product
+from .inference import (
+    ForwardResult,
+    _backward_table,
+    _checked_scale,
+    _expectations,
+    _forward_table,
+    _freeze,
+    _smooth_table,
+)
 from .learning import EmConfig, EmTrace, normalize_rows
 from .models import ChmmModel, DEFAULT_JOINT_CAP, validate_obs
-
-
-def _freeze(*arrays):
-    for arr in arrays:
-        arr.setflags(write=False)
-
-
-@dataclass(frozen=True, eq=False)
-class ChmmForwardResult:
-    """Scaled joint forward pass over chain-state tuples (row-major flat index)."""
-
-    scaled_alpha: np.ndarray
-    scale_factors: np.ndarray
-    log_likelihood: float
-
-    def __post_init__(self):
-        _freeze(self.scaled_alpha, self.scale_factors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,13 +45,10 @@ class ChmmPosterior:
         _freeze(self.gamma, *self.chain_gammas)
 
 
-def _check_joint_size(model, cap):
-    n = 1
-    for s in model.states_per_chain:
-        n *= s
-    if n > cap:
-        raise SizeCapError(f"joint state space has {n} entries, exceeding the cap of {cap}")
-    return n
+def _joint_chain(model, max_joint_states=DEFAULT_JOINT_CAP):
+    """Joint initial distribution and transition, after checking the joint size against the cap."""
+    _checked_product(model.states_per_chain, max_joint_states, "joint state space")
+    return _joint_initial(model), _joint_transition(model)
 
 
 def _joint_transition(model):
@@ -91,40 +82,16 @@ def _joint_initial(model):
     return vec.reshape(-1)
 
 
-def _joint_emission(model, step_obs):
-    vec = None
+def _evidence_table(model, obs):
+    """E[t, r]: probability of step t's per-chain symbols in joint state r, chain 0 first."""
+    E = None
     for l in range(model.num_chains):
-        col = model.emissions[l][:, step_obs[l]]
-        vec = col if vec is None else np.multiply.outer(vec, col)
-    return vec.reshape(-1)
+        cols = model.emissions[l].T[obs[:, l]]
+        E = cols if E is None else (E[:, :, None] * cols[:, None, :]).reshape(obs.shape[0], -1)
+    return E
 
 
-def _forward_scaled(model, obs, trans):
-    T = obs.shape[0]
-    scaled = np.empty((T, trans.shape[0]))
-    scale = np.empty(T)
-    a = _joint_initial(model) * _joint_emission(model, obs[0])
-    for t in range(T):
-        if t > 0:
-            a = (scaled[t - 1] @ trans) * _joint_emission(model, obs[t])
-        c = a.sum()
-        if c == 0.0:
-            raise ImpossibleObservationError(t)
-        scale[t] = c
-        scaled[t] = a / c
-    return scaled, scale
-
-
-def _backward_scaled(model, obs, trans, scale_factors):
-    T = obs.shape[0]
-    beta = np.empty((T, trans.shape[0]))
-    beta[T - 1] = 1.0
-    for t in range(T - 2, -1, -1):
-        beta[t] = trans @ (_joint_emission(model, obs[t + 1]) * beta[t + 1]) / scale_factors[t + 1]
-    return beta
-
-
-def chmm_forward(model: ChmmModel, obs, max_joint_states: int = DEFAULT_JOINT_CAP) -> ChmmForwardResult:
+def chmm_forward(model: ChmmModel, obs, max_joint_states: int = DEFAULT_JOINT_CAP) -> ForwardResult:
     """Scaled joint forward recursion for a coupled HMM.
 
     The base case multiplies per-chain initials and first emissions; each
@@ -132,22 +99,16 @@ def chmm_forward(model: ChmmModel, obs, max_joint_states: int = DEFAULT_JOINT_CA
     multiplies in the per-chain emission columns.
     """
     obs = validate_obs(model, obs)
-    _check_joint_size(model, max_joint_states)
-    scaled, scale = _forward_scaled(model, obs, _joint_transition(model))
-    return ChmmForwardResult(scaled, scale, float(np.log(scale).sum()))
+    pi, trans = _joint_chain(model, max_joint_states)
+    return _forward_table(pi, trans, _evidence_table(model, obs))
 
 
 def chmm_backward(model: ChmmModel, obs, scale_factors, max_joint_states: int = DEFAULT_JOINT_CAP) -> np.ndarray:
     """Scaled joint backward table, using the forward pass's scale factors."""
     obs = validate_obs(model, obs)
-    _check_joint_size(model, max_joint_states)
-    scale_factors = np.asarray(scale_factors, dtype=np.float64)
-    if scale_factors.shape != (obs.shape[0],):
-        raise ValueError(
-            f"scale_factors must have length {obs.shape[0]} to match the observations, "
-            f"got shape {scale_factors.shape}"
-        )
-    return _backward_scaled(model, obs, _joint_transition(model), scale_factors)
+    _, trans = _joint_chain(model, max_joint_states)
+    scale_factors = _checked_scale(scale_factors, obs.shape[0])
+    return _backward_table(trans, _evidence_table(model, obs), scale_factors)
 
 
 def chmm_likelihood(model: ChmmModel, obs, max_joint_states: int = DEFAULT_JOINT_CAP) -> float:
@@ -158,12 +119,8 @@ def chmm_likelihood(model: ChmmModel, obs, max_joint_states: int = DEFAULT_JOINT
 def chmm_smooth(model: ChmmModel, obs, max_joint_states: int = DEFAULT_JOINT_CAP) -> ChmmPosterior:
     """Joint smoothed posterior and per-chain marginals for a coupled HMM."""
     obs = validate_obs(model, obs)
-    _check_joint_size(model, max_joint_states)
-    trans = _joint_transition(model)
-    scaled, scale = _forward_scaled(model, obs, trans)
-    beta = _backward_scaled(model, obs, trans, scale)
-    gamma = scaled * beta
-    gamma /= gamma.sum(axis=1, keepdims=True)
+    pi, trans = _joint_chain(model, max_joint_states)
+    _, _, gamma = _smooth_table(pi, trans, _evidence_table(model, obs))
     return ChmmPosterior(gamma, _chain_marginals(model, gamma))
 
 
@@ -217,47 +174,30 @@ def _chmm_e_step(model, sequences):
     sizes = model.states_per_chain
     symbols = model.symbols_per_chain
     L = model.num_chains
-    trans = _joint_transition(model)
+    pi, trans = _joint_chain(model)
     init_counts = [np.zeros(sizes[l]) for l in range(L)]
     emit_counts = [np.zeros((sizes[l], symbols[l])) for l in range(L)]
     pair_counts = {key: np.zeros(mat.shape) for key, mat in model.couplings.items()}
     total_ll = 0.0
-    for idx, obs in enumerate(sequences):
-        T = obs.shape[0]
-        try:
-            alpha, scale = _forward_scaled(model, obs, trans)
-        except ImpossibleObservationError as err:
-            raise ImpossibleObservationError(
-                err.t,
-                f"sequence {idx}: observation at time step {err.t} is impossible "
-                "under the current model",
-            ) from err
-        beta = _backward_scaled(model, obs, trans, scale)
-        total_ll += float(np.log(scale).sum())
-        gamma = alpha * beta
-        gamma /= gamma.sum(axis=1, keepdims=True)
+    tables = (_evidence_table(model, obs) for obs in sequences)
+    for obs, (gamma, xi_sum, ll) in zip(sequences, _expectations(pi, trans, tables)):
+        total_ll += ll
         chain_gammas = _chain_marginals(model, gamma)
         for l in range(L):
             init_counts[l] += chain_gammas[l][0]
             np.add.at(emit_counts[l].T, obs[:, l], chain_gammas[l])
-        if T > 1:
-            w = np.empty_like(beta[1:])
-            for t in range(1, T):
-                w[t - 1] = _joint_emission(model, obs[t]) * beta[t] / scale[t]
-            xi_sum = trans * (alpha[:-1].T @ w)
-            shaped = xi_sum.reshape(sizes + sizes)
-            for (k, l) in pair_counts:
-                axes = tuple(i for i in range(2 * L) if i != k and i != L + l)
-                pair_counts[(k, l)] += shaped.sum(axis=axes)
+        shaped = xi_sum.reshape(sizes + sizes)
+        for (k, l) in pair_counts:
+            axes = tuple(i for i in range(2 * L) if i != k and i != L + l)
+            pair_counts[(k, l)] += shaped.sum(axis=axes)
     return (init_counts, emit_counts, pair_counts), total_ll
 
 
 def _total_log_likelihood(model, sequences):
-    trans = _joint_transition(model)
+    pi, trans = _joint_chain(model)
     total = 0.0
     for obs in sequences:
-        _, scale = _forward_scaled(model, obs, trans)
-        total += float(np.log(scale).sum())
+        total += _forward_table(pi, trans, _evidence_table(model, obs)).log_likelihood
     return total
 
 

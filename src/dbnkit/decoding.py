@@ -1,4 +1,4 @@
-"""Most-probable-path decoding (Viterbi) and its online prefix variant.
+"""Most-probable-path decoding (Viterbi).
 
 Scores are kept in log space throughout; probability-space recursions
 underflow for sequences of a few hundred steps.  Every max and argmax
@@ -58,13 +58,3 @@ def viterbi(model: HmmModel, obs) -> DecodeResult:
             np.log(model.pi), np.log(model.trans), np.log(model.emit), obs
         )
 
-
-def truncated_viterbi(model: HmmModel, obs_prefix) -> DecodeResult:
-    """Decode the best path over an observation prefix only.
-
-    Runs the same recursion as :func:`viterbi` over the steps seen so far
-    and backtracks from the best prefix-final state, so partial decodes are
-    available online.  With the full sequence as the prefix this is exactly
-    ``viterbi``.
-    """
-    return viterbi(model, obs_prefix)

@@ -4,6 +4,12 @@ The forward pass normalizes each step by its total probability mass c_t, so
 log P(y_{1:T}) accumulates as sum(log c_t) without underflow.  The backward
 pass reuses the same factors, one step out of phase, which makes the
 smoothed posterior simply the elementwise product of the two scaled tables.
+
+The recursion is written once, over an evidence table ``E[t, i]``, the
+probability of step t's observation in state i.  HMMs and unrolled
+two-slice templates fill it from emission columns (``emit.T[obs]``);
+coupled HMMs (:mod:`dbnkit.chmm`) fill it from products of per-chain
+emission columns, and Baum-Welch and coupled EM share its E-step.
 """
 
 from __future__ import annotations
@@ -63,6 +69,72 @@ class PosteriorResult:
         _freeze(self.gamma, self.xi)
 
 
+def _forward_table(pi, trans, E) -> ForwardResult:
+    """Scaled forward recursion over the evidence table ``E``."""
+    T, n = E.shape
+    scaled = np.empty((T, n))
+    scale = np.empty(T)
+    a = pi * E[0]
+    for t in range(T):
+        if t > 0:
+            a = (scaled[t - 1] @ trans) * E[t]
+        c = a.sum()
+        if c == 0.0:
+            raise ImpossibleObservationError(t)
+        scale[t] = c
+        scaled[t] = a / c
+    return ForwardResult(scaled, scale, float(np.log(scale).sum()))
+
+
+def _backward_table(trans, E, scale):
+    """Scaled backward recursion over ``E``, using the forward pass's factors."""
+    T = E.shape[0]
+    beta = np.empty(E.shape)
+    beta[T - 1] = 1.0
+    for t in range(T - 2, -1, -1):
+        beta[t] = trans @ (E[t + 1] * beta[t + 1]) / scale[t + 1]
+    return beta
+
+
+def _smooth_table(pi, trans, E):
+    """Forward pass, scaled backward table and smoothed gamma over ``E``."""
+    fwd = _forward_table(pi, trans, E)
+    beta = _backward_table(trans, E, fwd.scale_factors)
+    gamma = fwd.scaled_alpha * beta
+    gamma /= gamma.sum(axis=1, keepdims=True)
+    return fwd, beta, gamma
+
+
+def _expectations(pi, trans, tables):
+    """Yield (gamma, sum over t of xi_t, log-likelihood) for each evidence table.
+
+    An impossible observation is reported with the index of its sequence.
+    """
+    for idx, E in enumerate(tables):
+        try:
+            fwd, beta, gamma = _smooth_table(pi, trans, E)
+        except ImpossibleObservationError as err:
+            raise ImpossibleObservationError(
+                err.t,
+                f"sequence {idx}: observation at time step {err.t} is impossible "
+                "under the current model",
+            ) from err
+        # sum_t xi_t = A * (alpha[:-1]^T @ W) with W the evidence-weighted,
+        # rescaled backward table one step ahead.
+        w = E[1:] * beta[1:] / fwd.scale_factors[1:, None]
+        yield gamma, trans * (fwd.scaled_alpha[:-1].T @ w), fwd.log_likelihood
+
+
+def _checked_scale(scale_factors, T):
+    scale_factors = np.asarray(scale_factors, dtype=np.float64)
+    if scale_factors.shape != (T,):
+        raise ValueError(
+            f"scale_factors must have length {T} to match the observations, "
+            f"got shape {scale_factors.shape}"
+        )
+    return scale_factors
+
+
 def forward(model: HmmModel, obs) -> ForwardResult:
     """Run the scaled forward recursion.
 
@@ -72,20 +144,7 @@ def forward(model: HmmModel, obs) -> ForwardResult:
     first step whose total probability is exactly zero.
     """
     obs = validate_obs(model, obs)
-    T = obs.shape[0]
-    n = model.num_states
-    scaled = np.empty((T, n))
-    scale = np.empty(T)
-    a = model.pi * model.emit[:, obs[0]]
-    for t in range(T):
-        if t > 0:
-            a = (scaled[t - 1] @ model.trans) * model.emit[:, obs[t]]
-        c = a.sum()
-        if c == 0.0:
-            raise ImpossibleObservationError(t)
-        scale[t] = c
-        scaled[t] = a / c
-    return ForwardResult(scaled, scale, float(np.log(scale).sum()))
+    return _forward_table(model.pi, model.trans, model.emit.T[obs])
 
 
 def backward(model: HmmModel, obs, scale_factors) -> BackwardResult:
@@ -95,18 +154,8 @@ def backward(model: HmmModel, obs, scale_factors) -> BackwardResult:
     scaling that makes gamma_t proportional to scaled_alpha_t * scaled_beta_t.
     """
     obs = validate_obs(model, obs)
-    scale_factors = np.asarray(scale_factors, dtype=np.float64)
-    T = obs.shape[0]
-    if scale_factors.shape != (T,):
-        raise ValueError(
-            f"scale_factors must have length {T} to match the observations, "
-            f"got shape {scale_factors.shape}"
-        )
-    beta = np.empty((T, model.num_states))
-    beta[T - 1] = 1.0
-    for t in range(T - 2, -1, -1):
-        beta[t] = model.trans @ (model.emit[:, obs[t + 1]] * beta[t + 1]) / scale_factors[t + 1]
-    return BackwardResult(beta)
+    scale_factors = _checked_scale(scale_factors, obs.shape[0])
+    return BackwardResult(_backward_table(model.trans, model.emit.T[obs], scale_factors))
 
 
 def log_likelihood(model: HmmModel, obs) -> float:
@@ -119,25 +168,18 @@ def filter(model: HmmModel, obs) -> np.ndarray:
     return forward(model, obs).scaled_alpha
 
 
-def _posteriors(model, obs, fwd, bwd) -> PosteriorResult:
-    alpha = fwd.scaled_alpha
-    beta = bwd.scaled_beta
-    gamma = alpha * beta
-    gamma /= gamma.sum(axis=1, keepdims=True)
-    T, n = alpha.shape
-    xi = np.empty((T - 1, n, n))
-    for t in range(T - 1):
-        m = (alpha[t][:, None] * model.trans) * (model.emit[:, obs[t + 1]] * beta[t + 1])[None, :]
-        xi[t] = m / m.sum()
-    return PosteriorResult(gamma, xi)
-
-
 def smooth(model: HmmModel, obs) -> PosteriorResult:
     """Full-sequence smoothing: single-slice gamma and pairwise xi posteriors."""
     obs = validate_obs(model, obs)
-    fwd = forward(model, obs)
-    bwd = backward(model, obs, fwd.scale_factors)
-    return _posteriors(model, obs, fwd, bwd)
+    E = model.emit.T[obs]
+    fwd, beta, gamma = _smooth_table(model.pi, model.trans, E)
+    alpha = fwd.scaled_alpha
+    T, n = alpha.shape
+    xi = np.empty((T - 1, n, n))
+    for t in range(T - 1):
+        m = (alpha[t][:, None] * model.trans) * (E[t + 1] * beta[t + 1])[None, :]
+        xi[t] = m / m.sum()
+    return PosteriorResult(gamma, xi)
 
 
 def predict_state(model: HmmModel, obs, horizon: int = 1) -> np.ndarray:

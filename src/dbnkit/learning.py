@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ImpossibleObservationError
-from .inference import backward, forward
+from .inference import _expectations
 from .models import HmmModel, validate_obs
 
 
@@ -117,27 +116,11 @@ def mle_complete(data, num_states: int, num_symbols: int, pseudocount: float = 0
 def _e_step(model, sequences):
     stats = SufficientStats.zeros(model.num_states, model.num_symbols)
     total_ll = 0.0
-    for idx, obs in enumerate(sequences):
-        try:
-            fwd = forward(model, obs)
-        except ImpossibleObservationError as err:
-            raise ImpossibleObservationError(
-                err.t,
-                f"sequence {idx}: observation at time step {err.t} is impossible "
-                "under the current model",
-            ) from err
-        bwd = backward(model, obs, fwd.scale_factors)
-        total_ll += fwd.log_likelihood
-        alpha = fwd.scaled_alpha
-        beta = bwd.scaled_beta
-        gamma = alpha * beta
-        gamma /= gamma.sum(axis=1, keepdims=True)
+    tables = (model.emit.T[obs] for obs in sequences)
+    for obs, (gamma, xi_sum, ll) in zip(sequences, _expectations(model.pi, model.trans, tables)):
+        total_ll += ll
         stats.expected_initial += gamma[0]
-        if obs.shape[0] > 1:
-            # sum_t xi_t = A * (alpha[:-1]^T @ W) with W the emission-weighted,
-            # rescaled backward table one step ahead.
-            w = model.emit[:, obs[1:]].T * beta[1:] / fwd.scale_factors[1:, None]
-            stats.expected_transitions += model.trans * (alpha[:-1].T @ w)
+        stats.expected_transitions += xi_sum
         emis = np.zeros((model.num_symbols, model.num_states))
         np.add.at(emis, obs, gamma)
         stats.expected_emissions += emis.T

@@ -23,7 +23,7 @@ from .errors import ModelValidationError, ObservationError
 # Absolute tolerance for a stored probability vector to count as normalized.
 PROB_ATOL = 1e-9
 
-# Default cap on joint state spaces built by flattening/unrolling.
+# Default cap on joint state spaces built by flattening, unrolling and the CHMM routes.
 DEFAULT_JOINT_CAP = 10**6
 
 
@@ -56,7 +56,20 @@ def check_distribution(probs, name="distribution"):
 
 
 def _check_stochastic_matrix(mat, name):
-    for i in range(mat.shape[0]):
+    """Raise for the first row of ``mat`` that :func:`check_distribution` rejects.
+
+    Rows are screened with whole-array tests and only flagged rows are checked
+    one by one.  The screen uses half the tolerance because a row sum along
+    axis 1 may round differently from the 1-D sum; a row it passes is within
+    PROB_ATOL under either summation.
+    """
+    with np.errstate(invalid="ignore"):
+        flagged = (
+            ~np.isfinite(mat).all(axis=1)
+            | (mat < 0.0).any(axis=1)
+            | (np.abs(mat.sum(axis=1) - 1.0) > PROB_ATOL / 2)
+        )
+    for i in np.flatnonzero(flagged):
         check_distribution(mat[i], f"{name} row {i}")
 
 

@@ -70,9 +70,9 @@ def test_backward_final_slice_ones_and_reconstruction():
     fwd = chmm_forward(m, obs)
     beta = chmm_backward(m, obs, fwd.scale_factors)
     assert np.array_equal(beta[-1], np.ones(4))
-    from dbnkit.chmm import _joint_emission, _joint_initial
+    from dbnkit.chmm import _evidence_table, _joint_initial
 
-    first = float(np.dot(_joint_initial(m) * _joint_emission(m, obs[0]), beta[0]))
+    first = float(np.dot(_joint_initial(m) * _evidence_table(m, obs)[0], beta[0]))
     recon = np.log(first) + float(np.log(fwd.scale_factors[1:]).sum())
     assert recon == pytest.approx(fwd.log_likelihood, abs=1e-10)
 
@@ -111,6 +111,23 @@ def test_size_cap_applies():
     obs = _rand_obs(m, 3, rng)
     with pytest.raises(SizeCapError):
         chmm_forward(m, obs, max_joint_states=26)
+    with pytest.raises(SizeCapError):
+        chmm_backward(m, obs, np.ones(3), max_joint_states=26)
+    with pytest.raises(SizeCapError):
+        chmm_smooth(m, obs, max_joint_states=26)
+
+
+def test_em_checks_size_cap_before_building_joint_arrays(monkeypatch):
+    # 101^3 = 1,030,301 joint states, just over DEFAULT_JOINT_CAP: the dense
+    # transition would take 8.5 TB, so it must be refused before it is built.
+    def never(model):
+        raise AssertionError("joint transition built for an oversized model")
+
+    monkeypatch.setattr("dbnkit.chmm._joint_transition", never)
+    rng = np.random.default_rng(27)
+    m = random_chmm([101, 101, 101], [2, 2, 2], rng)
+    with pytest.raises(SizeCapError):
+        chmm_em(m, [_rand_obs(m, 4, rng)], EmConfig(max_iterations=1))
 
 
 def test_em_single_chain_matches_baum_welch_per_iteration():
@@ -185,3 +202,25 @@ def test_em_impossible_observation_names_sequence():
     bad = np.array([0, 1, 0])[:, None]
     with pytest.raises(ImpossibleObservationError, match="sequence 1"):
         chmm_em(m, [good, bad], EmConfig(max_iterations=2))
+
+
+def test_em_validates_each_sequence_once(monkeypatch):
+    from dbnkit.models import validate_obs
+
+    calls = []
+
+    def counting(model, obs):
+        calls.append(1)
+        return validate_obs(model, obs)
+
+    for module in ("dbnkit.learning", "dbnkit.inference", "dbnkit.chmm"):
+        monkeypatch.setattr(f"{module}.validate_obs", counting)
+    rng = np.random.default_rng(28)
+    config = EmConfig(max_iterations=4)
+    hmm = random_hmm(3, 2, rng)
+    baum_welch(hmm, [sample(hmm, 20, seed)[1] for seed in range(3)], config)
+    assert len(calls) == 3
+    calls.clear()
+    chmm = random_chmm([2, 2], [2, 2], rng)
+    chmm_em(chmm, [sample(chmm, 20, seed)[1] for seed in range(3)], config)
+    assert len(calls) == 3

@@ -6,7 +6,6 @@ from dbnkit import (
     ImpossibleObservationError,
     log_likelihood,
     random_hmm,
-    truncated_viterbi,
     viterbi,
 )
 from dbnkit.decoding import _decode_from_logs
@@ -35,22 +34,15 @@ def test_worked_example_path_and_score(worked_model, worked_obs):
     assert np.array_equal(result.path, ref.path)
 
 
-def test_truncated_full_prefix_equals_viterbi(worked_model, worked_obs):
-    full = viterbi(worked_model, worked_obs)
-    trunc = truncated_viterbi(worked_model, worked_obs)
-    assert np.array_equal(full.path, trunc.path)
-    assert full.log_joint_score == trunc.log_joint_score
-
-
 def test_truncated_single_step_base_case(worked_model):
-    result = truncated_viterbi(worked_model, [1])
+    result = viterbi(worked_model, [1])
     expected = int(np.argmax(worked_model.pi * worked_model.emit[:, 1]))
     assert result.path.tolist() == [expected]
 
 
 def test_truncated_prefix_matches_enumeration(worked_model):
     prefix = np.array([0, 1])
-    result = truncated_viterbi(worked_model, prefix)
+    result = viterbi(worked_model, prefix)
     ref = enum_map_path(worked_model, prefix)
     assert np.array_equal(result.path, ref.path)
     assert result.log_joint_score == pytest.approx(ref.log_joint_score, abs=1e-12)

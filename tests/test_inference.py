@@ -6,8 +6,10 @@ from dbnkit import (
     HmmModel,
     ImpossibleObservationError,
     backward,
+    chmm_backward,
     filter,
     forward,
+    hmm_to_chmm,
     log_likelihood,
     particle_filter,
     predict_obs,
@@ -71,6 +73,8 @@ def test_backward_reconstructs_likelihood(worked_model, worked_obs):
 def test_backward_scale_length_mismatch(worked_model, worked_obs):
     with pytest.raises(ValueError, match="scale_factors"):
         backward(worked_model, worked_obs, np.ones(5))
+    with pytest.raises(ValueError, match="scale_factors"):
+        chmm_backward(hmm_to_chmm(worked_model), worked_obs[:, None], np.ones(5))
 
 
 def test_filter_perfect_observability():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbnkit import (
     ChmmModel,
@@ -12,6 +14,7 @@ from dbnkit import (
     nearest_neighbor_parents,
     validate_obs,
 )
+from dbnkit.models import PROB_ATOL, _check_stochastic_matrix
 
 
 def test_degenerate_one_state_model_is_valid():
@@ -28,6 +31,51 @@ def test_pi_stochasticity_error_reports_sum():
 def test_row_stochasticity_error_names_row_and_sum():
     with pytest.raises(ModelValidationError, match="A row 1 sums to 0.89999"):
         HmmModel(pi=[0.5, 0.5], trans=[[0.5, 0.5], [0.7, 0.2]], emit=np.eye(2))
+
+
+def _row_loop_check(mat, name):
+    """The per-row loop that _check_stochastic_matrix replaced, kept as its reference."""
+    for i in range(mat.shape[0]):
+        check_distribution(mat[i], f"{name} row {i}")
+
+
+def _rejection(check, mat):
+    try:
+        check(mat, "M")
+    except ModelValidationError as err:
+        return str(err)
+    return None
+
+
+_FAULT = st.tuples(
+    st.sampled_from(["nan", "inf", "negative", "off_sum"]),
+    st.integers(0, 15),
+    st.integers(0, 15),
+    # Sum offsets straddle PROB_ATOL, where the two summation orders could disagree.
+    st.floats(-3 * PROB_ATOL, 3 * PROB_ATOL) | st.floats(-1.0, 1.0),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    rows=st.integers(1, 16),
+    cols=st.integers(1, 16),
+    seed=st.integers(0, 2**32 - 1),
+    faults=st.lists(_FAULT, max_size=4),
+)
+def test_stochastic_matrix_check_matches_row_loop(rows, cols, seed, faults):
+    mat = np.random.default_rng(seed).dirichlet(np.ones(cols), size=rows)
+    for kind, r, c, offset in faults:
+        r, c = r % rows, c % cols
+        if kind == "nan":
+            mat[r, c] = np.nan
+        elif kind == "inf":
+            mat[r, c] = np.inf
+        elif kind == "negative":
+            mat[r, c] = -abs(offset) or -1e-300
+        else:
+            mat[r, c] += offset
+    assert _rejection(_check_stochastic_matrix, mat) == _rejection(_row_loop_check, mat)
 
 
 def test_dimension_error_names_field():
