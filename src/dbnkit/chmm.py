@@ -4,14 +4,15 @@ A coupled HMM is an HMM over joint chain-state tuples, stored as flat
 row-major indices (chain 0 slowest), whose evidence factorises over chains:
 the evidence table multiplies each chain's emission column, and the scaled
 recursion and E-step are the shared ones in :mod:`dbnkit.inference`.  The
-joint transition is built tuple by tuple from the renormalized product of
-each chain's parent coupling rows; this is kept structurally separate from
-``convert.flatten_chmm`` so the two routes can cross-validate each other.
+joint transition broadcasts each chain's conditional table
+(``models._chain_conditional``) from its parents' source axes onto its own
+destination axis and multiplies the chains in; ``convert.flatten_chmm``
+gathers the same tables by joint-state digits instead, so the two routes
+stay structurally separate and can cross-validate each other.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,8 @@ from .inference import (
     _freeze,
     _smooth_table,
 )
-from .learning import EmConfig, EmTrace, normalize_rows
-from .models import ChmmModel, DEFAULT_JOINT_CAP, validate_obs
+from .learning import EmConfig, _run_em, normalize_rows
+from .models import ChmmModel, DEFAULT_JOINT_CAP, _chain_conditional, validate_obs
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,27 +53,22 @@ def _joint_chain(model, max_joint_states=DEFAULT_JOINT_CAP):
 
 
 def _joint_transition(model):
-    """Joint transition over state tuples, built one source tuple at a time."""
+    """Joint transition over state tuples (chain 0 slowest), as an n x n matrix.
+
+    Entry [source, destination] is the product, in chain order, of each
+    chain's conditional table at its parents' source states and its own
+    destination state.
+    """
     sizes = model.states_per_chain
     L = model.num_chains
-    parents = [model.parents(l) for l in range(L)]
+    out = np.ones(sizes + sizes)
+    for l in range(L):
+        parents = model.parents(l)
+        axes = [sizes[k] if k in parents else 1 for k in range(L)]
+        axes += [sizes[k] if k == l else 1 for k in range(L)]
+        out *= _chain_conditional(model, l).reshape(axes)
     n = int(np.prod(sizes))
-    out = np.empty((n, n))
-    for s, src in enumerate(itertools.product(*(range(k) for k in sizes))):
-        row = None
-        for l in range(L):
-            w = np.ones(sizes[l])
-            for p in parents[l]:
-                w = w * model.couplings[(p, l)][src[p]]
-            total = w.sum()
-            if total == 0.0:
-                raise ValueError(
-                    f"coupling product for chain {l} from states {src} has zero mass"
-                )
-            w = w / total
-            row = w if row is None else np.multiply.outer(row, w)
-        out[s] = row.reshape(-1)
-    return out
+    return out.reshape(n, n)
 
 
 def _joint_initial(model):
@@ -154,20 +150,7 @@ def chmm_em(init: ChmmModel, sequences, config: EmConfig = EmConfig()):
 
     Returns (trained model, EmTrace).
     """
-    sequences = [validate_obs(init, s) for s in sequences]
-    if not sequences:
-        raise ValueError("sequences must be nonempty")
-    model = init
-    lls = []
-    converged = False
-    for _ in range(config.max_iterations):
-        stats, total_ll = _chmm_e_step(model, sequences)
-        lls.append(total_ll)
-        if len(lls) > 1 and abs(lls[-1] - lls[-2]) < config.rel_tolerance * (1.0 + abs(lls[-1])):
-            converged = True
-            break
-        model = _safeguarded_update(model, stats, sequences, total_ll, config.pseudocount)
-    return model, EmTrace(np.array(lls), converged, len(lls))
+    return _run_em(init, sequences, config, _chmm_e_step, _safeguarded_update)
 
 
 def _chmm_e_step(model, sequences):

@@ -65,6 +65,13 @@ def _as_joint_hmm(model):
     raise TypeError(f"no joint HMM view for {type(model).__name__}")
 
 
+def _hmm_view(model, sequences):
+    """(plain HMM, sequences in its symbols) for any model; CHMMs are flattened."""
+    if isinstance(model, ChmmModel):
+        return flatten_chmm(model), [flatten_obs(model, s) for s in sequences]
+    return _as_joint_hmm(model), sequences
+
+
 def _cmd_validate(args):
     load_model(args.model)
     return 0
@@ -104,18 +111,13 @@ def _cmd_likelihood(args):
 def _cmd_filter(args):
     model = load_model(args.model)
     sequences = _load_obs_arg(args.obs)
+    if args.particles:
+        hmm_view, sequences = _hmm_view(model, sequences)
     for i, seq in enumerate(sequences):
         if i:
             print()
         if args.particles:
-            if isinstance(model, ChmmModel):
-                table = inference.particle_filter(
-                    flatten_chmm(model), flatten_obs(model, seq), args.particles, args.seed
-                ).estimates
-            else:
-                table = inference.particle_filter(
-                    _as_joint_hmm(model), seq, args.particles, args.seed
-                ).estimates
+            table = inference.particle_filter(hmm_view, seq, args.particles, args.seed).estimates
         elif isinstance(model, ChmmModel):
             table = chmm_mod.chmm_forward(model, seq).scaled_alpha
         else:
@@ -138,13 +140,7 @@ def _cmd_smooth(args):
 
 
 def _cmd_predict(args):
-    model = load_model(args.model)
-    if isinstance(model, ChmmModel):
-        hmm_view = flatten_chmm(model)
-        sequences = [flatten_obs(model, s) for s in _load_obs_arg(args.obs)]
-    else:
-        hmm_view = _as_joint_hmm(model)
-        sequences = _load_obs_arg(args.obs)
+    hmm_view, sequences = _hmm_view(load_model(args.model), _load_obs_arg(args.obs))
     if args.observation and args.horizon != 1:
         raise _UsageError("--observation predicts one step ahead; --horizon must be 1")
     for seq in sequences:
@@ -156,13 +152,7 @@ def _cmd_predict(args):
 
 
 def _cmd_decode(args):
-    model = load_model(args.model)
-    if isinstance(model, ChmmModel):
-        hmm_view = flatten_chmm(model)
-        sequences = [flatten_obs(model, s) for s in _load_obs_arg(args.obs)]
-    else:
-        hmm_view = _as_joint_hmm(model)
-        sequences = _load_obs_arg(args.obs)
+    hmm_view, sequences = _hmm_view(load_model(args.model), _load_obs_arg(args.obs))
     for seq in sequences:
         result = viterbi(hmm_view, seq)
         print("\t".join(str(int(s)) for s in result.path))

@@ -17,6 +17,7 @@ from .models import (
     DEFAULT_JOINT_CAP,
     HmmModel,
     Tbn2Model,
+    _chain_conditional,
     validate_obs,
 )
 
@@ -36,8 +37,9 @@ def flatten_chmm(model: ChmmModel, max_joint_states: int = DEFAULT_JOINT_CAP) ->
     Joint state r encodes the chain-state tuple with chain 0 slowest, and
     joint symbols encode per-chain symbol tuples the same way (see
     :func:`flatten_obs`).  The joint transition multiplies, per chain, the
-    renormalized product of that chain's parent coupling rows; the joint
-    emission and initial distributions are plain products across chains.
+    rows of that chain's conditional table gathered at each source state's
+    parent digits; the joint emission and initial distributions are plain
+    products across chains.
     """
     sizes = model.states_per_chain
     symbols = model.symbols_per_chain
@@ -53,16 +55,8 @@ def flatten_chmm(model: ChmmModel, max_joint_states: int = DEFAULT_JOINT_CAP) ->
 
     trans = np.ones((n, n))
     for l in range(L):
-        cond = np.ones((n, sizes[l]))
-        for p in model.parents(l):
-            cond = cond * model.couplings[(p, l)][state_digit[p], :]
-        row_mass = cond.sum(axis=1, keepdims=True)
-        if np.any(row_mass == 0.0):
-            src = int(np.nonzero(row_mass[:, 0] == 0.0)[0][0])
-            raise ValueError(
-                f"coupling product for chain {l} from joint state {src} has zero mass"
-            )
-        trans = trans * (cond / row_mass)[:, state_digit[l]]
+        cond = _chain_conditional(model, l)[tuple(state_digit[p] for p in model.parents(l))]
+        trans *= cond[:, state_digit[l]]
 
     emit = np.ones((n, m))
     for l in range(L):

@@ -147,6 +147,21 @@ def baum_welch(init: HmmModel, sequences, config: EmConfig = EmConfig()):
 
     Returns (trained model, EmTrace).
     """
+    return _run_em(
+        init, sequences, config, _e_step,
+        lambda model, stats, sequences, ll, pseudocount: _m_step(stats, pseudocount),
+    )
+
+
+def _run_em(init, sequences, config, e_step, m_step):
+    """The EM loop shared by every model type.
+
+    Validates each sequence once, then alternates ``e_step(model, sequences)``,
+    which returns (stats, total log-likelihood), with
+    ``m_step(model, stats, sequences, total log-likelihood, pseudocount)``,
+    which returns the next model, until the stopping rule in ``config``
+    fires or the iteration cap is reached.  Returns (model, EmTrace).
+    """
     sequences = [validate_obs(init, s) for s in sequences]
     if not sequences:
         raise ValueError("sequences must be nonempty")
@@ -154,10 +169,10 @@ def baum_welch(init: HmmModel, sequences, config: EmConfig = EmConfig()):
     lls = []
     converged = False
     for _ in range(config.max_iterations):
-        stats, total_ll = _e_step(model, sequences)
+        stats, total_ll = e_step(model, sequences)
         lls.append(total_ll)
         if len(lls) > 1 and abs(lls[-1] - lls[-2]) < config.rel_tolerance * (1.0 + abs(lls[-1])):
             converged = True
             break
-        model = _m_step(stats, config.pseudocount)
+        model = m_step(model, stats, sequences, total_ll, config.pseudocount)
     return model, EmTrace(np.array(lls), converged, len(lls))

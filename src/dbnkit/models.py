@@ -169,6 +169,30 @@ class ChmmModel:
         return tuple(sorted(k for (k, l) in self.couplings if l == chain))
 
 
+def _chain_conditional(model: ChmmModel, chain: int) -> np.ndarray:
+    """Chain ``chain``'s transition table P(x_chain' | x_parents).
+
+    One axis per parent chain, in ``model.parents(chain)`` order, then the
+    chain's next state on the last axis: the product of the parents'
+    coupling rows, renormalized over the last axis.  Raises
+    ModelValidationError, naming the first parent configuration in row-major
+    order, if some configuration gives the product zero mass.
+    """
+    parents = model.parents(chain)
+    grid = np.ix_(*(np.arange(model.states_per_chain[k]) for k in parents + (chain,)))
+    table = 1.0
+    for axis, p in enumerate(parents):
+        table = table * model.couplings[(p, chain)][grid[axis], grid[-1]]
+    mass = table.sum(axis=-1, keepdims=True)
+    if not mass.all():
+        states = tuple(int(i) for i in np.argwhere(mass[..., 0] == 0.0)[0])
+        raise ModelValidationError(
+            f"coupling product for chain {chain} has zero mass when its parent chains "
+            f"{parents} are in states {states}"
+        )
+    return table / mass
+
+
 def nearest_neighbor_parents(num_chains: int) -> tuple[tuple[int, ...], ...]:
     """Default coupling topology: each chain depends on itself and its neighbors."""
     return tuple(

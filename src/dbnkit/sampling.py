@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .models import ChmmModel, HmmModel, nearest_neighbor_parents
+from .models import ChmmModel, HmmModel, _chain_conditional, nearest_neighbor_parents
 
 
 def _draw(cumulative, rng):
@@ -54,7 +54,8 @@ def _sample_chmm(model, length, rng):
     L = model.num_chains
     init_cum = [np.cumsum(p) for p in model.initials]
     emit_cum = [np.cumsum(b, axis=1) for b in model.emissions]
-    parents = [model.parents(l) for l in range(L)]
+    parents = [list(model.parents(l)) for l in range(L)]
+    trans_cum = [np.cumsum(_chain_conditional(model, l), axis=-1) for l in range(L)]
     states = np.empty((length, L), dtype=np.int64)
     symbols = np.empty((length, L), dtype=np.int64)
     x = np.empty(L, dtype=np.int64)
@@ -65,15 +66,7 @@ def _sample_chmm(model, length, rng):
         else:
             prev = states[t - 1]
             for l in range(L):
-                w = np.ones(model.states_per_chain[l])
-                for p in parents[l]:
-                    w = w * model.couplings[(p, l)][prev[p]]
-                total = w.sum()
-                if total == 0.0:
-                    raise ValueError(
-                        f"coupling product for chain {l} from states {tuple(prev)} has zero mass"
-                    )
-                x[l] = _draw(np.cumsum(w / total), rng)
+                x[l] = _draw(trans_cum[l][tuple(prev[parents[l]])], rng)
         states[t] = x
         for l in range(L):
             symbols[t, l] = _draw(emit_cum[l][x[l]], rng)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from dbnkit import (
     ChmmModel,
     EmConfig,
     ImpossibleObservationError,
+    ModelValidationError,
     SizeCapError,
     backward,
     baum_welch,
@@ -21,8 +24,13 @@ from dbnkit import (
     random_chmm,
     random_hmm,
     sample,
+    save_model,
     smooth,
 )
+from dbnkit.chmm import _joint_transition
+from dbnkit.cli import main
+from dbnkit.models import _chain_conditional
+from dbnkit.sampling import _draw
 
 
 def _rand_obs(model, T, rng):
@@ -224,3 +232,107 @@ def test_em_validates_each_sequence_once(monkeypatch):
     chmm = random_chmm([2, 2], [2, 2], rng)
     chmm_em(chmm, [sample(chmm, 20, seed)[1] for seed in range(3)], config)
     assert len(calls) == 3
+
+
+def _reference_joint_transition(model):
+    """The joint transition built one source tuple at a time (the original route)."""
+    sizes = model.states_per_chain
+    n = int(np.prod(sizes))
+    out = np.empty((n, n))
+    for s, src in enumerate(itertools.product(*(range(k) for k in sizes))):
+        row = None
+        for l in range(model.num_chains):
+            w = np.ones(sizes[l])
+            for p in model.parents(l):
+                w = w * model.couplings[(p, l)][src[p]]
+            w = w / w.sum()
+            row = w if row is None else np.multiply.outer(row, w)
+        out[s] = row.reshape(-1)
+    return out
+
+
+def _reference_sample(model, length, seed):
+    """The CHMM sampler that renormalizes the coupling product at every step."""
+    rng = np.random.default_rng(seed)
+    L = model.num_chains
+    states = np.empty((length, L), dtype=np.int64)
+    symbols = np.empty((length, L), dtype=np.int64)
+    for t in range(length):
+        for l in range(L):
+            if t == 0:
+                states[t, l] = _draw(np.cumsum(model.initials[l]), rng)
+            else:
+                w = np.ones(model.states_per_chain[l])
+                for p in model.parents(l):
+                    w = w * model.couplings[(p, l)][states[t - 1, p]]
+                states[t, l] = _draw(np.cumsum(w / w.sum()), rng)
+        for l in range(L):
+            symbols[t, l] = _draw(np.cumsum(model.emissions[l][states[t, l]]), rng)
+    return states, symbols
+
+
+def test_chain_tables_match_reference_routes_bit_for_bit():
+    # Chains of 8 or more states are included: numpy sums rows that long
+    # pairwise, so a different summation order would show up here.
+    rng = np.random.default_rng(29)
+    largest = {1: 40, 2: 12, 3: 9, 4: 4}
+    for i in range(60):
+        L = int(rng.integers(1, 5))
+        sizes = [int(rng.integers(1, largest[L] + 1)) for _ in range(L)]
+        if L < 4 and i % 2:
+            sizes[0] = int(rng.integers(8, largest[L] + 1))
+        parents = [
+            sorted({l} | {k for k in range(L) if rng.random() < 0.5}) for l in range(L)
+        ]
+        m = random_chmm(sizes, [2] * L, rng, parents=parents)
+        expected = _reference_joint_transition(m)
+        assert np.array_equal(_joint_transition(m), expected)
+        assert np.array_equal(flatten_chmm(m).trans, expected)
+        for got, want in zip(sample(m, 30, i), _reference_sample(m, 30, i)):
+            assert np.array_equal(got, want)
+
+
+def test_chain_conditional_with_two_parents_matches_hand_computation():
+    c01 = [[0.9, 0.1], [0.4, 0.6], [0.5, 0.5]]
+    c11 = [[0.7, 0.3], [0.2, 0.8]]
+    m = ChmmModel(
+        initials=[[0.2, 0.3, 0.5], [0.5, 0.5]],
+        emissions=[np.eye(3), np.eye(2)],
+        couplings={(0, 0): np.full((3, 3), 1 / 3), (0, 1): c01, (1, 1): c11},
+    )
+    table = _chain_conditional(m, 1)
+    # table[a, b, j] = c01[a, j] * c11[b, j] / sum_j(...)
+    expected = np.array([
+        [[0.63 / 0.66, 0.03 / 0.66], [0.18 / 0.26, 0.08 / 0.26]],
+        [[0.28 / 0.46, 0.18 / 0.46], [0.08 / 0.56, 0.48 / 0.56]],
+        [[0.7, 0.3], [0.2, 0.8]],
+    ])
+    assert table.shape == (3, 2, 2)
+    assert np.abs(table - expected).max() < 1e-15
+    joint = _joint_transition(m)
+    for a0, b0, a1, b1 in itertools.product(range(3), range(2), range(3), range(2)):
+        want = (1 / 3) * expected[a0, b0, b1]
+        assert joint[a0 * 2 + b0, a1 * 2 + b1] == pytest.approx(want, abs=1e-15)
+
+
+def test_zero_mass_coupling_product_is_a_model_error(tmp_path, capsys):
+    # Chain 1's parents are chains 0 and 1; for parent states (0, 0) and
+    # (1, 1) the rows of (0->1) and (1->1) share no support.
+    m = ChmmModel(
+        initials=[[0.5, 0.5], [0.5, 0.5]],
+        emissions=[[[0.9, 0.1], [0.2, 0.8]], [[0.9, 0.1], [0.2, 0.8]]],
+        couplings={(0, 0): np.eye(2), (1, 1): np.eye(2), (0, 1): [[0.0, 1.0], [1.0, 0.0]]},
+    )
+    message = "coupling product for chain 1 has zero mass when its parent chains (0, 1) are in states (0, 0)"
+    obs = np.array([[0, 1], [1, 1]])
+    for call in (lambda: chmm_likelihood(m, obs), lambda: flatten_chmm(m), lambda: sample(m, 5, 0)):
+        with pytest.raises(ModelValidationError) as err:
+            call()
+        assert str(err.value) == message
+    path = tmp_path / "zero_mass.json"
+    save_model(m, path)
+    for argv in (["smooth", "--obs", "0,1 1,1"], ["sample", "--length", "5", "--seed", "0"]):
+        assert main(argv + ["--model", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
