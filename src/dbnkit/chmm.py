@@ -116,7 +116,7 @@ def chmm_smooth(model: ChmmModel, obs, max_joint_states: int = DEFAULT_JOINT_CAP
     """Joint smoothed posterior and per-chain marginals for a coupled HMM."""
     obs = validate_obs(model, obs)
     pi, trans = _joint_chain(model, max_joint_states)
-    _, _, gamma = _smooth_table(pi, trans, _evidence_table(model, obs))
+    _, gamma, _ = _smooth_table(pi, trans, _evidence_table(model, obs))
     return ChmmPosterior(gamma, _chain_marginals(model, gamma))
 
 

@@ -21,8 +21,8 @@ from .decoding import viterbi
 from .errors import DbnError
 from .io import format_obs, load_model, load_observations, parse_obs_line, save_model, save_observations
 from .models import ChmmModel, HmmModel, Tbn2Model
-from .oracle import enum_likelihood, enum_map_path, enum_posterior
-from .sampling import random_chmm, random_hmm, sample
+from .oracle import run_equivalence_checks
+from .sampling import sample
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -45,9 +45,13 @@ def _print_row(values):
     print("\t".join(_fmt(v) for v in values))
 
 
-def _print_table(table):
-    for row in np.asarray(table):
-        _print_row(row)
+def _print_tables(tables):
+    """Print each table's rows, with a blank line between tables."""
+    for i, table in enumerate(tables):
+        if i:
+            print()
+        for row in np.asarray(table):
+            _print_row(row)
 
 
 def _load_obs_arg(value):
@@ -57,12 +61,16 @@ def _load_obs_arg(value):
 
 
 def _as_joint_hmm(model):
-    """View any model as a plain HMM (identity for HMMs, unroll for 2TBNs)."""
-    if isinstance(model, HmmModel):
-        return model
-    if isinstance(model, Tbn2Model):
-        return unroll_tbn(model)
-    raise TypeError(f"no joint HMM view for {type(model).__name__}")
+    """A 2TBN's unrolled joint HMM; every other model as it is."""
+    return unroll_tbn(model) if isinstance(model, Tbn2Model) else model
+
+
+def _per_sequence(model, chmm_fn, hmm_fn):
+    """``fn(seq)``: ``chmm_fn`` on a CHMM, else ``hmm_fn`` on the joint HMM, built once."""
+    if isinstance(model, ChmmModel):
+        return lambda seq: chmm_fn(model, seq)
+    hmm = _as_joint_hmm(model)
+    return lambda seq: hmm_fn(hmm, seq)
 
 
 def _hmm_view(model, sequences):
@@ -78,9 +86,7 @@ def _cmd_validate(args):
 
 
 def _cmd_sample(args):
-    model = load_model(args.model)
-    if isinstance(model, Tbn2Model):
-        model = unroll_tbn(model)
+    model = _as_joint_hmm(load_model(args.model))
     state_seqs = []
     obs_seqs = []
     for i in range(args.count):
@@ -99,12 +105,10 @@ def _cmd_sample(args):
 
 def _cmd_likelihood(args):
     model = load_model(args.model)
-    for seq in _load_obs_arg(args.obs):
-        if isinstance(model, ChmmModel):
-            ll = chmm_mod.chmm_likelihood(model, seq)
-        else:
-            ll = inference.log_likelihood(_as_joint_hmm(model), seq)
-        print(_fmt(ll))
+    sequences = _load_obs_arg(args.obs)
+    likelihood = _per_sequence(model, chmm_mod.chmm_likelihood, inference.log_likelihood)
+    for seq in sequences:
+        print(_fmt(likelihood(seq)))
     return 0
 
 
@@ -113,29 +117,22 @@ def _cmd_filter(args):
     sequences = _load_obs_arg(args.obs)
     if args.particles:
         hmm_view, sequences = _hmm_view(model, sequences)
-    for i, seq in enumerate(sequences):
-        if i:
-            print()
-        if args.particles:
-            table = inference.particle_filter(hmm_view, seq, args.particles, args.seed).estimates
-        elif isinstance(model, ChmmModel):
-            table = chmm_mod.chmm_forward(model, seq).scaled_alpha
-        else:
-            table = inference.filter(_as_joint_hmm(model), seq)
-        _print_table(table)
+
+        def filtered(seq):
+            return inference.particle_filter(hmm_view, seq, args.particles, args.seed).estimates
+    else:
+        filtered = _per_sequence(
+            model, lambda m, seq: chmm_mod.chmm_forward(m, seq).scaled_alpha, inference.filter
+        )
+    _print_tables(filtered(seq) for seq in sequences)
     return 0
 
 
 def _cmd_smooth(args):
     model = load_model(args.model)
-    for i, seq in enumerate(_load_obs_arg(args.obs)):
-        if i:
-            print()
-        if isinstance(model, ChmmModel):
-            table = chmm_mod.chmm_smooth(model, seq).gamma
-        else:
-            table = inference.smooth(_as_joint_hmm(model), seq).gamma
-        _print_table(table)
+    sequences = _load_obs_arg(args.obs)
+    posterior = _per_sequence(model, chmm_mod.chmm_smooth, inference.smooth)
+    _print_tables(posterior(seq).gamma for seq in sequences)
     return 0
 
 
@@ -204,75 +201,6 @@ def _cmd_oracle_check(args):
         print(f"{name}: max deviation {worst:.3e} (tolerance {tol:.0e}) {status}")
     print("all checks passed" if ok else "checks FAILED")
     return 0 if ok else DATA_EXIT
-
-
-def run_equivalence_checks(count: int, seed: int):
-    """Compare the fast implementations against enumeration on random instances.
-
-    Returns a list of (check name, worst deviation, tolerance) triples.
-    Path mismatches count as deviation 1.0.
-    """
-    rng = np.random.default_rng(seed)
-    lik_dev = gamma_dev = xi_dev = path_dev = score_dev = 0.0
-    for _ in range(count):
-        n = int(rng.integers(1, 4))
-        m = int(rng.integers(1, 4))
-        T = int(rng.integers(1, 7))
-        model = random_hmm(n, m, rng)
-        obs = rng.integers(0, m, size=T)
-        fwd = inference.forward(model, obs)
-        lik_dev = max(lik_dev, abs(np.exp(fwd.log_likelihood) - enum_likelihood(model, obs)))
-        post = inference.smooth(model, obs)
-        ref_gamma, ref_xi = enum_posterior(model, obs)
-        gamma_dev = max(gamma_dev, float(np.abs(post.gamma - ref_gamma).max()))
-        if T > 1:
-            xi_dev = max(xi_dev, float(np.abs(post.xi - ref_xi).max()))
-        decoded = viterbi(model, obs)
-        ref_path = enum_map_path(model, obs)
-        if not np.array_equal(decoded.path, ref_path.path):
-            path_dev = 1.0
-        ref_p = np.exp(ref_path.log_joint_score)
-        score_dev = max(score_dev, abs(np.exp(decoded.log_joint_score) - ref_p) / ref_p)
-
-    recon_dev = 0.0
-    for _ in range(count):
-        n = int(rng.integers(1, 11))
-        m = int(rng.integers(1, 5))
-        T = int(rng.integers(1, 201))
-        model = random_hmm(n, m, rng)
-        obs = rng.integers(0, m, size=T)
-        fwd = inference.forward(model, obs)
-        bwd = inference.backward(model, obs, fwd.scale_factors)
-        first = float(np.dot(model.pi * model.emit[:, obs[0]], bwd.scaled_beta[0]))
-        recon = np.log(first) + float(np.log(fwd.scale_factors[1:]).sum())
-        recon_dev = max(recon_dev, abs(recon - fwd.log_likelihood))
-
-    chmm_lik_dev = chmm_gamma_dev = 0.0
-    for _ in range(count):
-        L = int(rng.integers(1, 4))
-        sizes = [int(rng.integers(1, 4)) for _ in range(L)]
-        symbols = [int(rng.integers(1, 4)) for _ in range(L)]
-        model = random_chmm(sizes, symbols, rng)
-        T = int(rng.integers(1, 6))
-        obs = np.stack([rng.integers(0, symbols[l], size=T) for l in range(L)], axis=1)
-        direct = chmm_mod.chmm_likelihood(model, obs)
-        flat = flatten_chmm(model)
-        flat_obs = flatten_obs(model, obs)
-        chmm_lik_dev = max(chmm_lik_dev, abs(direct - inference.log_likelihood(flat, flat_obs)))
-        joint_gamma = chmm_mod.chmm_smooth(model, obs).gamma
-        flat_gamma = inference.smooth(flat, flat_obs).gamma
-        chmm_gamma_dev = max(chmm_gamma_dev, float(np.abs(joint_gamma - flat_gamma).max()))
-
-    return [
-        ("hmm likelihood vs enumeration", lik_dev, 1e-12),
-        ("hmm gamma vs enumeration", gamma_dev, 1e-12),
-        ("hmm xi vs enumeration", xi_dev, 1e-12),
-        ("viterbi path vs enumeration", path_dev, 0.0),
-        ("viterbi score vs enumeration (relative)", score_dev, 1e-12),
-        ("backward likelihood reconstruction", recon_dev, 1e-10),
-        ("chmm log-likelihood vs flattened", chmm_lik_dev, 1e-12),
-        ("chmm joint gamma vs flattened", chmm_gamma_dev, 1e-12),
-    ]
 
 
 def _build_parser():

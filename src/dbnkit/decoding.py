@@ -29,18 +29,17 @@ class DecodeResult:
         object.__setattr__(self, "log_joint_score", float(self.log_joint_score))
 
 
-def _decode_from_logs(log_pi, log_trans, log_emit, obs) -> DecodeResult:
-    """Viterbi recursion on raw log parameters (rows need not be normalized)."""
-    T = obs.shape[0]
-    n = log_pi.shape[0]
+def _viterbi_table(log_pi, log_trans, log_E) -> DecodeResult:
+    """Viterbi over unnormalized log parameters and ``log_E[t, i] = log P(y_t | x_t = i)``."""
+    T, n = log_E.shape
     back = np.zeros((T, n), dtype=np.int64)
-    score = log_pi + log_emit[:, obs[0]]
+    score = log_pi + log_E[0]
     if np.all(np.isneginf(score)):
         raise ImpossibleObservationError(0)
     for t in range(1, T):
         candidates = score[:, None] + log_trans
         back[t] = np.argmax(candidates, axis=0)
-        score = candidates[back[t], np.arange(n)] + log_emit[:, obs[t]]
+        score = candidates[back[t], np.arange(n)] + log_E[t]
         if np.all(np.isneginf(score)):
             raise ImpossibleObservationError(t)
     path = np.empty(T, dtype=np.int64)
@@ -54,7 +53,4 @@ def viterbi(model: HmmModel, obs) -> DecodeResult:
     """Most probable hidden state path for a full observation sequence."""
     obs = validate_obs(model, obs)
     with np.errstate(divide="ignore"):
-        return _decode_from_logs(
-            np.log(model.pi), np.log(model.trans), np.log(model.emit), obs
-        )
-
+        return _viterbi_table(np.log(model.pi), np.log(model.trans), np.log(model.emit).T[obs])

@@ -14,7 +14,8 @@ emission columns, and Baum-Welch and coupled EM share its E-step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -59,14 +60,23 @@ class PosteriorResult:
     """Smoothed posteriors.
 
     ``gamma[t, i]`` is P(x_t = i | y_{1:T}); ``xi[t, i, j]`` is
-    P(x_t = i, x_{t+1} = j | y_{1:T}), so xi has T-1 slices.
+    P(x_t = i, x_{t+1} = j | y_{1:T}), so xi has T-1 slices.  xi is built
+    from the pairwise weights of :func:`_smooth_table` when first read.
     """
 
     gamma: np.ndarray
-    xi: np.ndarray
+    scaled_alpha: np.ndarray = field(repr=False)
+    trans: np.ndarray = field(repr=False)
+    pair_weights: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        _freeze(self.gamma, self.xi)
+        _freeze(self.gamma, self.pair_weights)
+
+    @cached_property
+    def xi(self) -> np.ndarray:
+        xi = self.scaled_alpha[:-1, :, None] * self.trans * self.pair_weights[:, None, :]
+        _freeze(xi)
+        return xi
 
 
 def _forward_table(pi, trans, E) -> ForwardResult:
@@ -97,12 +107,15 @@ def _backward_table(trans, E, scale):
 
 
 def _smooth_table(pi, trans, E):
-    """Forward pass, scaled backward table and smoothed gamma over ``E``."""
+    """Forward pass, smoothed gamma and pairwise weights ``w`` over ``E``.
+
+    ``w[t] = E[t+1] * beta[t+1] / c[t+1]``, so xi_t = alpha[t][:, None] * trans * w[t].
+    """
     fwd = _forward_table(pi, trans, E)
     beta = _backward_table(trans, E, fwd.scale_factors)
     gamma = fwd.scaled_alpha * beta
     gamma /= gamma.sum(axis=1, keepdims=True)
-    return fwd, beta, gamma
+    return fwd, gamma, E[1:] * beta[1:] / fwd.scale_factors[1:, None]
 
 
 def _expectations(pi, trans, tables):
@@ -112,16 +125,13 @@ def _expectations(pi, trans, tables):
     """
     for idx, E in enumerate(tables):
         try:
-            fwd, beta, gamma = _smooth_table(pi, trans, E)
+            fwd, gamma, w = _smooth_table(pi, trans, E)
         except ImpossibleObservationError as err:
             raise ImpossibleObservationError(
                 err.t,
                 f"sequence {idx}: observation at time step {err.t} is impossible "
                 "under the current model",
             ) from err
-        # sum_t xi_t = A * (alpha[:-1]^T @ W) with W the evidence-weighted,
-        # rescaled backward table one step ahead.
-        w = E[1:] * beta[1:] / fwd.scale_factors[1:, None]
         yield gamma, trans * (fwd.scaled_alpha[:-1].T @ w), fwd.log_likelihood
 
 
@@ -169,17 +179,10 @@ def filter(model: HmmModel, obs) -> np.ndarray:
 
 
 def smooth(model: HmmModel, obs) -> PosteriorResult:
-    """Full-sequence smoothing: single-slice gamma and pairwise xi posteriors."""
+    """Full-sequence smoothing: gamma, plus pairwise xi built when it is read."""
     obs = validate_obs(model, obs)
-    E = model.emit.T[obs]
-    fwd, beta, gamma = _smooth_table(model.pi, model.trans, E)
-    alpha = fwd.scaled_alpha
-    T, n = alpha.shape
-    xi = np.empty((T - 1, n, n))
-    for t in range(T - 1):
-        m = (alpha[t][:, None] * model.trans) * (E[t + 1] * beta[t + 1])[None, :]
-        xi[t] = m / m.sum()
-    return PosteriorResult(gamma, xi)
+    fwd, gamma, w = _smooth_table(model.pi, model.trans, model.emit.T[obs])
+    return PosteriorResult(gamma, fwd.scaled_alpha, model.trans, w)
 
 
 def predict_state(model: HmmModel, obs, horizon: int = 1) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Brute-force reference results by exhaustive enumeration of hidden paths.
 
-Deliberately independent of the scaled recursions elsewhere in the package:
-plain probability-space sums over every path, with a size guard instead of
-numerical scaling.  Used to validate the fast implementations.
+The enumeration functions are deliberately independent of the scaled
+recursions elsewhere in the package: plain probability-space sums over every
+path, with a size guard instead of numerical scaling.  Only
+:func:`run_equivalence_checks` (the CLI's ``oracle-check``) calls the fast
+implementations, to compare them against enumeration and against each other.
 """
 
 from __future__ import annotations
@@ -11,9 +13,13 @@ import itertools
 
 import numpy as np
 
-from .decoding import DecodeResult
+from . import chmm as chmm_mod
+from . import inference
+from .convert import flatten_chmm, flatten_obs
+from .decoding import DecodeResult, viterbi
 from .errors import ImpossibleObservationError, SizeCapError
 from .models import HmmModel, validate_obs
+from .sampling import random_chmm, random_hmm
 
 # Enumeration guard: N**T may not exceed this.
 MAX_PATHS = 10**6
@@ -80,3 +86,72 @@ def enum_map_path(model: HmmModel, obs) -> DecodeResult:
             best_p, best = p, path
     with np.errstate(divide="ignore"):
         return DecodeResult(np.array(best, dtype=np.int64), float(np.log(best_p)))
+
+
+def run_equivalence_checks(count: int, seed: int):
+    """Compare the fast implementations against enumeration on random instances.
+
+    Returns a list of (check name, worst deviation, tolerance) triples.
+    Path mismatches count as deviation 1.0.
+    """
+    rng = np.random.default_rng(seed)
+    lik_dev = gamma_dev = xi_dev = path_dev = score_dev = 0.0
+    for _ in range(count):
+        n = int(rng.integers(1, 4))
+        m = int(rng.integers(1, 4))
+        T = int(rng.integers(1, 7))
+        model = random_hmm(n, m, rng)
+        obs = rng.integers(0, m, size=T)
+        fwd = inference.forward(model, obs)
+        lik_dev = max(lik_dev, abs(np.exp(fwd.log_likelihood) - enum_likelihood(model, obs)))
+        post = inference.smooth(model, obs)
+        ref_gamma, ref_xi = enum_posterior(model, obs)
+        gamma_dev = max(gamma_dev, float(np.abs(post.gamma - ref_gamma).max()))
+        if T > 1:
+            xi_dev = max(xi_dev, float(np.abs(post.xi - ref_xi).max()))
+        decoded = viterbi(model, obs)
+        ref_path = enum_map_path(model, obs)
+        if not np.array_equal(decoded.path, ref_path.path):
+            path_dev = 1.0
+        ref_p = np.exp(ref_path.log_joint_score)
+        score_dev = max(score_dev, abs(np.exp(decoded.log_joint_score) - ref_p) / ref_p)
+
+    recon_dev = 0.0
+    for _ in range(count):
+        n = int(rng.integers(1, 11))
+        m = int(rng.integers(1, 5))
+        T = int(rng.integers(1, 201))
+        model = random_hmm(n, m, rng)
+        obs = rng.integers(0, m, size=T)
+        fwd = inference.forward(model, obs)
+        bwd = inference.backward(model, obs, fwd.scale_factors)
+        first = float(np.dot(model.pi * model.emit[:, obs[0]], bwd.scaled_beta[0]))
+        recon = np.log(first) + float(np.log(fwd.scale_factors[1:]).sum())
+        recon_dev = max(recon_dev, abs(recon - fwd.log_likelihood))
+
+    chmm_lik_dev = chmm_gamma_dev = 0.0
+    for _ in range(count):
+        L = int(rng.integers(1, 4))
+        sizes = [int(rng.integers(1, 4)) for _ in range(L)]
+        symbols = [int(rng.integers(1, 4)) for _ in range(L)]
+        model = random_chmm(sizes, symbols, rng)
+        T = int(rng.integers(1, 6))
+        obs = np.stack([rng.integers(0, symbols[l], size=T) for l in range(L)], axis=1)
+        direct = chmm_mod.chmm_likelihood(model, obs)
+        flat = flatten_chmm(model)
+        flat_obs = flatten_obs(model, obs)
+        chmm_lik_dev = max(chmm_lik_dev, abs(direct - inference.log_likelihood(flat, flat_obs)))
+        joint_gamma = chmm_mod.chmm_smooth(model, obs).gamma
+        flat_gamma = inference.smooth(flat, flat_obs).gamma
+        chmm_gamma_dev = max(chmm_gamma_dev, float(np.abs(joint_gamma - flat_gamma).max()))
+
+    return [
+        ("hmm likelihood vs enumeration", lik_dev, 1e-12),
+        ("hmm gamma vs enumeration", gamma_dev, 1e-12),
+        ("hmm xi vs enumeration", xi_dev, 1e-12),
+        ("viterbi path vs enumeration", path_dev, 0.0),
+        ("viterbi score vs enumeration (relative)", score_dev, 1e-12),
+        ("backward likelihood reconstruction", recon_dev, 1e-10),
+        ("chmm log-likelihood vs flattened", chmm_lik_dev, 1e-12),
+        ("chmm joint gamma vs flattened", chmm_gamma_dev, 1e-12),
+    ]

@@ -5,14 +5,25 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_chmm_train_benchmark_runs_and_is_correct():
+def _assert_benchmark_correct(workload):
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "chmm-train", "--seed", "0",
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "0",
          "--seconds", "1", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
+
+
+def test_chmm_train_benchmark_runs_and_is_correct():
+    _assert_benchmark_correct("chmm-train")
+
+
+@pytest.mark.parametrize("workload", ["hmm-train", "hmm-query"])
+def test_benchmark_runs_and_is_correct(workload):
+    _assert_benchmark_correct(workload)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dbnkit import load_model, random_chmm, save_model
+from dbnkit import cli, load_model, random_chmm, save_model, unroll_tbn
 from dbnkit.cli import main
 
 
@@ -182,7 +182,8 @@ def test_chmm_likelihood_and_tables(chmm_file, capsys):
     assert len(path) == 3 and all(0 <= s < 4 for s in path)
 
 
-def test_tbn2_commands(tmp_path, capsys):
+@pytest.fixture
+def tbn_file(tmp_path):
     doc = {
         "type": "tbn2",
         "vars": [
@@ -197,13 +198,33 @@ def test_tbn2_commands(tmp_path, capsys):
     }
     path = tmp_path / "tbn.json"
     path.write_text(json.dumps(doc))
-    assert main(["validate", "--model", str(path)]) == 0
-    assert main(["likelihood", "--model", str(path), "--obs", "0 0 1"]) == 0
+    return str(path)
+
+
+def test_tbn2_commands(tbn_file, tmp_path, capsys):
+    assert main(["validate", "--model", tbn_file]) == 0
+    assert main(["likelihood", "--model", tbn_file, "--obs", "0 0 1"]) == 0
     ll = float(capsys.readouterr().out)
     assert ll == pytest.approx(np.log(0.5 * 0.9 * 0.1), abs=1e-9)
     obs_path = tmp_path / "obs.txt"
-    assert main(["sample", "--model", str(path), "--length", "8", "--seed", "1", "--out", str(obs_path)]) == 0
-    assert main(["likelihood", "--model", str(path), "--obs", str(obs_path)]) == 0
+    assert main(["sample", "--model", tbn_file, "--length", "8", "--seed", "1", "--out", str(obs_path)]) == 0
+    assert main(["likelihood", "--model", tbn_file, "--obs", str(obs_path)]) == 0
+
+
+@pytest.mark.parametrize("command", ["likelihood", "smooth", "filter"])
+def test_tbn2_unrolled_once_per_command(tbn_file, tmp_path, monkeypatch, capsys, command):
+    obs_path = tmp_path / "obs.txt"
+    obs_path.write_text("0 0 1\n1 1\n0 1 1 0\n")
+    calls = []
+
+    def counting_unroll(model):
+        calls.append(model)
+        return unroll_tbn(model)
+
+    monkeypatch.setattr(cli, "unroll_tbn", counting_unroll)
+    assert main([command, "--model", tbn_file, "--obs", str(obs_path)]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out.count("\n\n") == (0 if command == "likelihood" else 2)
 
 
 def test_oracle_check_passes(capsys):

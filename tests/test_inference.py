@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -242,3 +244,46 @@ def test_oracle_equivalence_sample():
         assert np.exp(log_likelihood(model, obs)) == pytest.approx(
             enum_likelihood(model, obs), abs=1e-12
         )
+
+
+def _xi_per_step(model, obs):
+    """Pairwise posteriors slice by slice, each renormalised: the reference for smooth's xi."""
+    fwd = forward(model, obs)
+    beta = backward(model, obs, fwd.scale_factors).scaled_beta
+    alpha = fwd.scaled_alpha
+    E = model.emit.T[np.asarray(obs)]
+    T, n = alpha.shape
+    xi = np.empty((T - 1, n, n))
+    for t in range(T - 1):
+        m = (alpha[t][:, None] * model.trans) * (E[t + 1] * beta[t + 1])[None, :]
+        xi[t] = m / m.sum()
+    return xi
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 17])
+def test_xi_matches_per_step_reference(T):
+    rng = np.random.default_rng(100 + T)
+    for _ in range(25):
+        n = int(rng.integers(1, 6))
+        m = int(rng.integers(1, 4))
+        model = random_hmm(n, m, rng)
+        obs = rng.integers(0, m, size=T)
+        xi = smooth(model, obs).xi
+        assert xi.shape == (T - 1, n, n)
+        assert not xi.flags.writeable
+        assert np.abs(xi - _xi_per_step(model, obs)).max(initial=0.0) < 1e-14
+
+
+def test_smooth_does_not_allocate_xi_until_read():
+    rng = np.random.default_rng(13)
+    n, T = 128, 400
+    model = random_hmm(n, 4, rng)
+    obs = rng.integers(0, 4, size=T)
+    tracemalloc.start()
+    try:
+        post = smooth(model, obs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert post.gamma.shape == (T, n)
+    assert peak < (T - 1) * n * n * 8 / 4
