@@ -32,14 +32,19 @@ class DecodeResult:
 def _viterbi_table(log_pi, log_trans, log_E) -> DecodeResult:
     """Viterbi over unnormalized log parameters and ``log_E[t, i] = log P(y_t | x_t = i)``."""
     T, n = log_E.shape
-    back = np.zeros((T, n), dtype=np.int64)
+    back = np.zeros((T, n), dtype=np.intp)
+    # into[j, i] = log_trans[i, j]: row j holds every way into state j, contiguously,
+    # and cand is reused at every step; argmax keeps the first (smallest) predecessor.
+    into = np.ascontiguousarray(log_trans.T)
+    cand = np.empty((n, n))
+    rows = np.arange(n)
     score = log_pi + log_E[0]
     if np.all(np.isneginf(score)):
         raise ImpossibleObservationError(0)
     for t in range(1, T):
-        candidates = score[:, None] + log_trans
-        back[t] = np.argmax(candidates, axis=0)
-        score = candidates[back[t], np.arange(n)] + log_E[t]
+        np.add(into, score, out=cand)
+        np.argmax(cand, axis=1, out=back[t])
+        score = cand[rows, back[t]] + log_E[t]
         if np.all(np.isneginf(score)):
             raise ImpossibleObservationError(t)
     path = np.empty(T, dtype=np.int64)

@@ -222,21 +222,58 @@ class ParticleFilterResult:
 
     ``particles[t]`` and ``weights[t]`` describe the ensemble after the
     weight update at step t; ``estimates[t]`` is the weighted occupancy of
-    each state, the particle approximation of P(x_t | y_{1:t}).
+    each state, the particle approximation of P(x_t | y_{1:t}).  ``ess[t]``
+    is the effective sample size 1 / sum(weights[t]**2), and ``resampled[t]``
+    is True where the ensemble was resampled before propagating to step t
+    (never at t = 0).
     """
 
     particles: np.ndarray
     weights: np.ndarray
     estimates: np.ndarray
+    ess: np.ndarray
+    resampled: np.ndarray
 
     def __post_init__(self):
-        _freeze(self.particles, self.weights, self.estimates)
+        _freeze(self.particles, self.weights, self.estimates, self.ess, self.resampled)
 
     def __len__(self) -> int:
         return self.particles.shape[0]
 
     def step(self, t: int) -> ParticleSet:
         return ParticleSet(self.particles[t], self.weights[t])
+
+
+def _lifting_table(trans_cum):
+    """``(table, P)`` for :func:`_propagate`: row i is ``trans_cum[i, :n-1]``, +inf-padded to width P.
+
+    P = 2**bit_length(n-1) exceeds n-1, so every row ends in at least one +inf.
+    """
+    n = trans_cum.shape[0]
+    P = 1 << (n - 1).bit_length()
+    table = np.full((n, P), np.inf)
+    table[:, : n - 1] = trans_cum[:, : n - 1]
+    return table.ravel(), P
+
+
+def _propagate(table, P, x, u):
+    """Next states ``min(#{j : trans_cum[x, j] <= u}, n-1)``, by binary lifting.
+
+    Each row of ``trans_cum`` is the cumulative sum of a nonnegative row, so
+    it is nondecreasing: if ``trans_cum[x, n-1] <= u`` every entry counts and
+    the clamp gives n-1, the count over the first n-1 entries; otherwise the
+    last entry does not count.  Either way the result is the count over the
+    first n-1 entries, which the lifting finds in log2 P rounds of one
+    lookup per particle: with ``pos`` the flat index of row x's entry k - 1,
+    k grows by ``b`` whenever entry ``k + b - 1`` of the padded row is <= u.
+    """
+    start = x * P - 1
+    pos = start.copy()
+    b = P >> 1
+    while b:
+        pos += b * (table.take(pos + b) <= u)
+        b >>= 1
+    return pos - start
 
 
 def _systematic_resample(weights, rng):
@@ -256,8 +293,9 @@ def particle_filter(
     """Bootstrap particle filter with systematic resampling.
 
     Particles propagate through the transition prior and are reweighted by
-    the emission likelihood of each observation.  After each weight update
-    the effective sample size 1 / sum(w^2) is compared against
+    the emission likelihood of each observation; one propagation step costs
+    O(K log n) for K particles and n states.  After each weight update
+    the effective sample size 1 / sum(w^2) is recorded and compared against
     ``resample_threshold * num_particles``; when it drops below, the
     ensemble is systematically resampled and weights reset to uniform
     before the next propagation.  Output is a pure function of the seed.
@@ -274,23 +312,25 @@ def particle_filter(
     rng = np.random.default_rng(seed)
     T = obs.shape[0]
     n = model.num_states
-    trans_cum = np.cumsum(model.trans, axis=1)
+    table, P = _lifting_table(np.cumsum(model.trans, axis=1))
 
     particles = np.empty((T, K), dtype=np.int64)
     weights = np.empty((T, K))
     estimates = np.empty((T, n))
+    ess = np.empty(T)
+    resampled = np.zeros(T, dtype=bool)
 
     pi_cum = np.cumsum(model.pi)
     x = np.minimum(np.searchsorted(pi_cum, rng.random(K), side="right"), n - 1)
     w = model.emit[x, obs[0]].copy()
     for t in range(T):
         if t > 0:
-            if 1.0 / np.sum(w * w) < resample_threshold * K:
+            if ess[t - 1] < resample_threshold * K:
                 keep = _systematic_resample(w, rng)
                 x = x[keep]
                 w = np.full(K, 1.0 / K)
-            u = rng.random(K)
-            x = np.minimum((trans_cum[x] <= u[:, None]).sum(axis=1), n - 1)
+                resampled[t] = True
+            x = _propagate(table, P, x, rng.random(K))
             w = w * model.emit[x, obs[t]]
         total = w.sum()
         if total == 0.0:
@@ -299,4 +339,5 @@ def particle_filter(
         particles[t] = x
         weights[t] = w
         estimates[t] = np.bincount(x, weights=w, minlength=n)
-    return ParticleFilterResult(particles, weights, estimates)
+        ess[t] = 1.0 / np.sum(w * w)
+    return ParticleFilterResult(particles, weights, estimates, ess, resampled)

@@ -8,7 +8,7 @@ from dbnkit import (
     random_hmm,
     viterbi,
 )
-from dbnkit.decoding import _viterbi_table
+from dbnkit.decoding import DecodeResult, _viterbi_table
 from dbnkit.oracle import enum_likelihood, enum_map_path
 
 
@@ -100,3 +100,55 @@ def test_oracle_equivalence_sample():
             np.exp(ref.log_joint_score), rel=1e-12
         )
         assert np.exp(result.log_joint_score) <= enum_likelihood(model, obs) * (1 + 1e-12)
+
+
+def _viterbi_by_columns(log_pi, log_trans, log_E):
+    """Viterbi with a fresh candidate table and a column argmax per step: the reference."""
+    T, n = log_E.shape
+    back = np.zeros((T, n), dtype=np.int64)
+    score = log_pi + log_E[0]
+    if np.all(np.isneginf(score)):
+        raise ImpossibleObservationError(0)
+    for t in range(1, T):
+        candidates = score[:, None] + log_trans
+        back[t] = np.argmax(candidates, axis=0)
+        score = candidates[back[t], np.arange(n)] + log_E[t]
+        if np.all(np.isneginf(score)):
+            raise ImpossibleObservationError(t)
+    path = np.empty(T, dtype=np.int64)
+    path[T - 1] = int(np.argmax(score))
+    for t in range(T - 1, 0, -1):
+        path[t - 1] = back[t, path[t]]
+    return DecodeResult(path, float(score[path[T - 1]]))
+
+
+def _outcome(decode, *tables):
+    try:
+        result = decode(*tables)
+    except ImpossibleObservationError as err:
+        return ("impossible", err.t)
+    return ("path", result.path.tolist(), result.log_joint_score)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 81])
+def test_viterbi_bit_identical_to_column_reference(n):
+    rng = np.random.default_rng(700 + n)
+    outcomes = set()
+    for trial in range(12):
+        decimals = 1 if trial % 2 else 2
+        pi = np.round(rng.dirichlet(np.ones(n)), decimals)
+        trans = np.round(rng.dirichlet(np.ones(n), size=n), decimals)
+        emit = np.round(rng.dirichlet(np.ones(3), size=n), decimals)
+        if trial % 3 == 0:
+            trans[:] = 1.0 / n
+        if trial % 4 == 1:
+            # symbol 2 only from state 0, which no transition enters: impossible after t = 0
+            emit[1:, 2] = 0.0
+            trans[:, 0] = 0.0
+        with np.errstate(divide="ignore"):
+            tables = (np.log(pi), np.log(trans), np.log(emit).T[rng.integers(0, 3, size=40)])
+        expected = _outcome(_viterbi_by_columns, *tables)
+        assert _outcome(_viterbi_table, *tables) == expected
+        outcomes.add(expected[0])
+    if n > 1:
+        assert outcomes == {"path", "impossible"}

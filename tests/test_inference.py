@@ -19,6 +19,7 @@ from dbnkit import (
     random_hmm,
     smooth,
 )
+from dbnkit.inference import _lifting_table, _propagate, _systematic_resample
 from dbnkit.oracle import enum_likelihood, enum_posterior
 
 
@@ -191,6 +192,10 @@ def test_particle_filter_deterministic_model():
         assert np.all(result.particles[t] == expected_states[t])
         assert np.allclose(result.weights[t], 1.0 / 64)
         assert np.allclose(result.estimates[t], np.eye(2)[expected_states[t]])
+    # every particle agrees, so the ESS is K, never below the threshold, even at 1.0 * K
+    assert np.array_equal(result.ess, np.full(4, 64.0))
+    assert not result.resampled.any()
+    assert not particle_filter(m, obs, 64, seed=5, resample_threshold=1.0).resampled.any()
 
 
 def test_particle_filter_single_particle_one_hot(worked_model, worked_obs):
@@ -225,6 +230,89 @@ def test_particle_filter_approximates_exact_filter(worked_model):
     exact = filter(worked_model, obs)
     approx = particle_filter(worked_model, obs, num_particles=4000, seed=17).estimates
     assert np.abs(exact - approx).max() < 0.06
+
+
+def _particle_filter_by_comparison(model, obs, num_particles, seed):
+    """The particle filter with an O(K·n) comparison count per step: the reference for the lifting."""
+    obs = np.asarray(obs)
+    K = num_particles
+    rng = np.random.default_rng(seed)
+    T = obs.shape[0]
+    n = model.num_states
+    trans_cum = np.cumsum(model.trans, axis=1)
+    particles = np.empty((T, K), dtype=np.int64)
+    weights = np.empty((T, K))
+    estimates = np.empty((T, n))
+    pi_cum = np.cumsum(model.pi)
+    x = np.minimum(np.searchsorted(pi_cum, rng.random(K), side="right"), n - 1)
+    w = model.emit[x, obs[0]].copy()
+    for t in range(T):
+        if t > 0:
+            if 1.0 / np.sum(w * w) < 0.5 * K:
+                keep = _systematic_resample(w, rng)
+                x = x[keep]
+                w = np.full(K, 1.0 / K)
+            u = rng.random(K)
+            x = np.minimum((trans_cum[x] <= u[:, None]).sum(axis=1), n - 1)
+            w = w * model.emit[x, obs[t]]
+        w = w / w.sum()
+        particles[t] = x
+        weights[t] = w
+        estimates[t] = np.bincount(x, weights=w, minlength=n)
+    return particles, weights, estimates
+
+
+def _sparse_transitions(rng, n):
+    """Random rows with about half their entries zero (flat stretches in the cumulative sums)."""
+    trans = rng.dirichlet(np.ones(n), size=n) * (rng.random((n, n)) < 0.5)
+    trans[np.arange(n), rng.integers(0, n, size=n)] += rng.random(n) + 0.1
+    trans[0] = 0.0
+    trans[0, n - 1] = 1.0
+    return trans / trans.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 81, 256, 300])
+def test_particle_filter_bit_identical_to_comparison_count(n):
+    rng = np.random.default_rng(500 + n)
+    for trans in (rng.dirichlet(np.ones(n), size=n), _sparse_transitions(rng, n)):
+        model = HmmModel(pi=rng.dirichlet(np.ones(n)), trans=trans,
+                         emit=rng.dirichlet(np.ones(4), size=n))
+        obs = rng.integers(0, 4, size=25)
+        result = particle_filter(model, obs, num_particles=300, seed=n)
+        particles, weights, estimates = _particle_filter_by_comparison(model, obs, 300, n)
+        assert np.array_equal(result.particles, particles)
+        assert np.array_equal(result.weights, weights)
+        assert np.array_equal(result.estimates, estimates)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 9])
+def test_propagate_counts_at_and_just_below_every_cumulative_value(n):
+    rng = np.random.default_rng(n)
+    trans_cum = np.cumsum(_sparse_transitions(rng, n), axis=1)
+    table, P = _lifting_table(trans_cum)
+    x = np.repeat(np.arange(n), 2 * n + 2)
+    u = np.concatenate([
+        np.concatenate([row, np.nextafter(row, -np.inf), [0.0, 1.0]]) for row in trans_cum
+    ])
+    expected = np.minimum((trans_cum[x] <= u[:, None]).sum(axis=1), n - 1)
+    assert np.array_equal(_propagate(table, P, x, u), expected)
+
+
+def test_particle_filter_ess_is_inverse_sum_of_squared_weights():
+    rng = np.random.default_rng(61)
+    model = random_hmm(6, 3, rng)
+    result = particle_filter(model, rng.integers(0, 3, size=40), num_particles=200, seed=4)
+    assert np.array_equal(result.ess, 1.0 / np.sum(result.weights**2, axis=1))
+    assert not result.ess.flags.writeable and not result.resampled.flags.writeable
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.5, 0.9, 1.0])
+def test_particle_filter_resampled_follows_threshold_rule(worked_model, threshold):
+    obs = np.random.default_rng(9).integers(0, 2, size=30)
+    result = particle_filter(worked_model, obs, num_particles=64, seed=5, resample_threshold=threshold)
+    assert not result.resampled[0]
+    assert np.array_equal(result.resampled[1:], result.ess[:-1] < threshold * 64)
+    assert result.resampled.any() == (threshold > 0.0)
 
 
 def test_particle_filter_validates_arguments(worked_model, worked_obs):
