@@ -28,7 +28,6 @@ from .inference import (
     BackwardResult,
     ForwardResult,
     ParticleFilterResult,
-    ParticleSet,
     PosteriorResult,
     backward,
     filter,
@@ -83,7 +82,6 @@ __all__ = [
     "ModelValidationError",
     "ObservationError",
     "ParticleFilterResult",
-    "ParticleSet",
     "PosteriorResult",
     "SizeCapError",
     "SufficientStats",

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convert import _checked_product
 from .inference import (
     ForwardResult,
     _backward_table,
@@ -28,7 +27,7 @@ from .inference import (
     _smooth_table,
 )
 from .learning import EmConfig, _run_em, normalize_rows
-from .models import ChmmModel, DEFAULT_JOINT_CAP, _chain_conditional, validate_obs
+from .models import ChmmModel, _chain_conditional, _check_array_bytes, validate_obs
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,9 +45,10 @@ class ChmmPosterior:
         _freeze(self.gamma, *self.chain_gammas)
 
 
-def _joint_chain(model, max_joint_states=DEFAULT_JOINT_CAP):
-    """Joint initial distribution and transition, after checking the joint size against the cap."""
-    _checked_product(model.states_per_chain, max_joint_states, "joint state space")
+def _joint_chain(model):
+    """Joint initial distribution and transition, after checking the transition's bytes."""
+    sizes = model.states_per_chain
+    _check_array_bytes("joint transition", *sizes, *sizes)
     return _joint_initial(model), _joint_transition(model)
 
 
@@ -87,7 +87,7 @@ def _evidence_table(model, obs):
     return E
 
 
-def chmm_forward(model: ChmmModel, obs, max_joint_states: int = DEFAULT_JOINT_CAP) -> ForwardResult:
+def chmm_forward(model: ChmmModel, obs) -> ForwardResult:
     """Scaled joint forward recursion for a coupled HMM.
 
     The base case multiplies per-chain initials and first emissions; each
@@ -95,27 +95,27 @@ def chmm_forward(model: ChmmModel, obs, max_joint_states: int = DEFAULT_JOINT_CA
     multiplies in the per-chain emission columns.
     """
     obs = validate_obs(model, obs)
-    pi, trans = _joint_chain(model, max_joint_states)
+    pi, trans = _joint_chain(model)
     return _forward_table(pi, trans, _evidence_table(model, obs))
 
 
-def chmm_backward(model: ChmmModel, obs, scale_factors, max_joint_states: int = DEFAULT_JOINT_CAP) -> np.ndarray:
+def chmm_backward(model: ChmmModel, obs, scale_factors) -> np.ndarray:
     """Scaled joint backward table, using the forward pass's scale factors."""
     obs = validate_obs(model, obs)
-    _, trans = _joint_chain(model, max_joint_states)
+    _, trans = _joint_chain(model)
     scale_factors = _checked_scale(scale_factors, obs.shape[0])
     return _backward_table(trans, _evidence_table(model, obs), scale_factors)
 
 
-def chmm_likelihood(model: ChmmModel, obs, max_joint_states: int = DEFAULT_JOINT_CAP) -> float:
+def chmm_likelihood(model: ChmmModel, obs) -> float:
     """log P(obs) for a coupled HMM, summed over joint final states."""
-    return chmm_forward(model, obs, max_joint_states).log_likelihood
+    return chmm_forward(model, obs).log_likelihood
 
 
-def chmm_smooth(model: ChmmModel, obs, max_joint_states: int = DEFAULT_JOINT_CAP) -> ChmmPosterior:
+def chmm_smooth(model: ChmmModel, obs) -> ChmmPosterior:
     """Joint smoothed posterior and per-chain marginals for a coupled HMM."""
     obs = validate_obs(model, obs)
-    pi, trans = _joint_chain(model, max_joint_states)
+    pi, trans = _joint_chain(model)
     _, gamma, _ = _smooth_table(pi, trans, _evidence_table(model, obs))
     return ChmmPosterior(gamma, _chain_marginals(model, gamma))
 

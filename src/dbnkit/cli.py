@@ -37,6 +37,26 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _bounded(cast, accept, what):
+    """An argparse ``type``: ``cast(text)``, or a usage error unless ``accept`` holds for it."""
+
+    def parse(text):
+        try:
+            if accept(value := cast(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+
+    return parse
+
+
+_positive_int = _bounded(int, lambda v: v > 0, "a positive integer")
+_nonnegative_int = _bounded(int, lambda v: v >= 0, "a nonnegative integer")
+_positive_float = _bounded(float, lambda v: v > 0, "a positive number")
+_nonnegative_float = _bounded(float, lambda v: v >= 0, "a nonnegative number")
+
+
 def _fmt(x) -> str:
     return format(float(x), ".12g")
 
@@ -115,7 +135,7 @@ def _cmd_likelihood(args):
 def _cmd_filter(args):
     model = load_model(args.model)
     sequences = _load_obs_arg(args.obs)
-    if args.particles:
+    if args.particles is not None:
         hmm_view, sequences = _hmm_view(model, sequences)
 
         def filtered(seq):
@@ -219,22 +239,22 @@ def _build_parser():
     add("validate", _cmd_validate, "check a model file; exit 0 iff valid")
 
     p = add("sample", _cmd_sample, "draw observation sequences from a model")
-    p.add_argument("--length", type=int, required=True, help="steps per sequence")
-    p.add_argument("--seed", type=int, default=0, help="base seed; sequence i uses seed+i")
-    p.add_argument("--count", type=int, default=1, help="number of sequences")
+    p.add_argument("--length", type=_positive_int, required=True, help="steps per sequence")
+    p.add_argument("--seed", type=_nonnegative_int, default=0, help="base seed; sequence i uses seed+i")
+    p.add_argument("--count", type=_positive_int, default=1, help="number of sequences")
     p.add_argument("--out", help="observation file to write (default stdout)")
     p.add_argument("--states-out", help="also write the sampled state paths here")
 
     add("likelihood", _cmd_likelihood, "log-likelihood of each sequence", obs=True)
 
     p = add("filter", _cmd_filter, "filtered state marginals, one row per step", obs=True)
-    p.add_argument("--particles", type=int, help="use a particle filter with this many particles")
-    p.add_argument("--seed", type=int, default=0, help="particle filter seed")
+    p.add_argument("--particles", type=_positive_int, help="use a particle filter with this many particles")
+    p.add_argument("--seed", type=_nonnegative_int, default=0, help="particle filter seed")
 
     add("smooth", _cmd_smooth, "smoothed state marginals, one row per step", obs=True)
 
     p = add("predict", _cmd_predict, "distribution of the next state (or symbol)", obs=True)
-    p.add_argument("--horizon", type=int, default=1, help="steps past the end of the sequence")
+    p.add_argument("--horizon", type=_positive_int, default=1, help="steps past the end of the sequence")
     p.add_argument("--observation", action="store_true", help="predict the next symbol instead")
 
     p = add("decode", _cmd_decode, "most probable state path", obs=True)
@@ -243,14 +263,14 @@ def _build_parser():
     for name, func in (("train", _cmd_train), ("train-chmm", _cmd_train_chmm)):
         p = add(name, func, f"EM training ({name}); prints the log-likelihood trace", obs=True)
         p.add_argument("--out", required=True, help="trained model file to write")
-        p.add_argument("--max-iters", type=int, default=200)
-        p.add_argument("--tol", type=float, default=1e-6)
-        p.add_argument("--pseudocount", type=float, default=0.0)
+        p.add_argument("--max-iters", type=_positive_int, default=200)
+        p.add_argument("--tol", type=_positive_float, default=1e-6)
+        p.add_argument("--pseudocount", type=_nonnegative_float, default=0.0)
 
     p = sub.add_parser("oracle-check", help="equivalence suite vs brute-force enumeration")
     p.set_defaults(func=_cmd_oracle_check)
-    p.add_argument("--count", type=int, default=100, help="instances per check")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=_positive_int, default=100, help="instances per check")
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
 
     return parser
 

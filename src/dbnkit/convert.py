@@ -9,29 +9,21 @@ coupled recursions to near machine precision.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import SizeCapError
 from .models import (
     ChmmModel,
-    DEFAULT_JOINT_CAP,
     HmmModel,
     Tbn2Model,
     _chain_conditional,
+    _check_array_bytes,
     validate_obs,
 )
 
 
-def _checked_product(dims, cap, what):
-    total = 1
-    for d in dims:
-        total *= int(d)
-    if total > cap:
-        raise SizeCapError(f"{what} has {total} joint entries, exceeding the cap of {cap}")
-    return total
-
-
-def flatten_chmm(model: ChmmModel, max_joint_states: int = DEFAULT_JOINT_CAP) -> HmmModel:
+def flatten_chmm(model: ChmmModel) -> HmmModel:
     """Collapse a coupled HMM into an equivalent joint-state HMM.
 
     Joint state r encodes the chain-state tuple with chain 0 slowest, and
@@ -39,12 +31,15 @@ def flatten_chmm(model: ChmmModel, max_joint_states: int = DEFAULT_JOINT_CAP) ->
     :func:`flatten_obs`).  The joint transition multiplies, per chain, the
     rows of that chain's conditional table gathered at each source state's
     parent digits; the joint emission and initial distributions are plain
-    products across chains.
+    products across chains.  Raises SizeCapError, before building anything,
+    if the n x n transition or the n x m emission exceeds the byte budget.
     """
     sizes = model.states_per_chain
     symbols = model.symbols_per_chain
-    n = _checked_product(sizes, max_joint_states, "joint state space")
-    m = _checked_product(symbols, max_joint_states, "joint symbol space")
+    n = math.prod(sizes)
+    m = math.prod(symbols)
+    _check_array_bytes("joint transition", n, n)
+    _check_array_bytes("joint emission", n, m)
     L = model.num_chains
     state_digit = np.unravel_index(np.arange(n), sizes)
     symbol_digit = np.unravel_index(np.arange(m), symbols)
@@ -82,7 +77,7 @@ def hmm_to_chmm(model: HmmModel) -> ChmmModel:
     )
 
 
-def unroll_tbn(model: Tbn2Model, max_joint_states: int = DEFAULT_JOINT_CAP) -> HmmModel:
+def unroll_tbn(model: Tbn2Model) -> HmmModel:
     """Unroll a two-slice template into its joint-state chain.
 
     Joint state r encodes an assignment of all template variables, variable
@@ -91,10 +86,12 @@ def unroll_tbn(model: Tbn2Model, max_joint_states: int = DEFAULT_JOINT_CAP) -> H
     parents' values, with slice-0 parents read from the source assignment
     and slice-1 parents from the destination.  The chain is fully observed:
     the symbol alphabet is the joint assignment space and the emission
-    matrix is the identity.
+    matrix is the identity.  Raises SizeCapError, before building anything,
+    if one n x n array (float or int64 index) exceeds the byte budget.
     """
     cards = model.cardinalities
-    n = _checked_product(cards, max_joint_states, "joint assignment space")
+    n = math.prod(cards)
+    _check_array_bytes("joint transition", n, n)
     digit = np.unravel_index(np.arange(n), cards)
 
     pi = np.ones(n)

@@ -18,7 +18,7 @@ class ObservationError(DbnError, ValueError):
 
 
 class SizeCapError(DbnError, ValueError):
-    """A joint state space or enumeration exceeds the configured size cap."""
+    """An array would exceed ``models.MAX_ARRAY_BYTES``, or an enumeration its path cap."""
 
 
 class ImpossibleObservationError(DbnError, ValueError):

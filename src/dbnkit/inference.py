@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateWeightsError, ImpossibleObservationError
-from .models import HmmModel, validate_obs
+from .models import HmmModel, _check_array_bytes, validate_obs
 
 
 def _freeze(*arrays):
@@ -61,7 +61,9 @@ class PosteriorResult:
 
     ``gamma[t, i]`` is P(x_t = i | y_{1:T}); ``xi[t, i, j]`` is
     P(x_t = i, x_{t+1} = j | y_{1:T}), so xi has T-1 slices.  xi is built
-    from the pairwise weights of :func:`_smooth_table` when first read.
+    from the pairwise weights of :func:`_smooth_table` when first read, and
+    reading it raises SizeCapError if it would not fit
+    ``models.MAX_ARRAY_BYTES``.
     """
 
     gamma: np.ndarray
@@ -74,6 +76,8 @@ class PosteriorResult:
 
     @cached_property
     def xi(self) -> np.ndarray:
+        n = self.trans.shape[0]
+        _check_array_bytes("xi", self.pair_weights.shape[0], n, n)
         xi = self.scaled_alpha[:-1, :, None] * self.trans * self.pair_weights[:, None, :]
         _freeze(xi)
         return xi
@@ -206,42 +210,26 @@ def predict_obs(model: HmmModel, obs) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class ParticleSet:
-    """Weighted particle approximation of one filtering step."""
-
-    particles: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        _freeze(self.particles, self.weights)
-
-
-@dataclass(frozen=True, eq=False)
 class ParticleFilterResult:
-    """Per-step particle sets plus their weighted state-marginal estimates.
+    """Per-step state-marginal estimates and diagnostics, plus the final ensemble.
 
-    ``particles[t]`` and ``weights[t]`` describe the ensemble after the
-    weight update at step t; ``estimates[t]`` is the weighted occupancy of
-    each state, the particle approximation of P(x_t | y_{1:t}).  ``ess[t]``
-    is the effective sample size 1 / sum(weights[t]**2), and ``resampled[t]``
-    is True where the ensemble was resampled before propagating to step t
-    (never at t = 0).
+    ``estimates[t]`` is the weighted occupancy of each state after the weight
+    update at step t, the particle approximation of P(x_t | y_{1:t}).
+    ``ess[t]`` is that step's effective sample size 1 / sum(w**2), and
+    ``resampled[t]`` is True where the ensemble was resampled before
+    propagating to step t (never at t = 0).  ``final_particles`` and
+    ``final_weights``, each of length K, are the ensemble after the last
+    step's weight update; earlier ensembles are not kept.
     """
 
-    particles: np.ndarray
-    weights: np.ndarray
     estimates: np.ndarray
     ess: np.ndarray
     resampled: np.ndarray
+    final_particles: np.ndarray
+    final_weights: np.ndarray
 
     def __post_init__(self):
-        _freeze(self.particles, self.weights, self.estimates, self.ess, self.resampled)
-
-    def __len__(self) -> int:
-        return self.particles.shape[0]
-
-    def step(self, t: int) -> ParticleSet:
-        return ParticleSet(self.particles[t], self.weights[t])
+        _freeze(self.estimates, self.ess, self.resampled, self.final_particles, self.final_weights)
 
 
 def _lifting_table(trans_cum):
@@ -307,6 +295,7 @@ def particle_filter(
     K = int(num_particles)
     if K < 1:
         raise ValueError(f"num_particles must be >= 1, got {K}")
+    _check_array_bytes("particle ensemble", K)
     if not 0.0 <= resample_threshold <= 1.0:
         raise ValueError(f"resample_threshold must be in [0, 1], got {resample_threshold}")
     rng = np.random.default_rng(seed)
@@ -314,8 +303,6 @@ def particle_filter(
     n = model.num_states
     table, P = _lifting_table(np.cumsum(model.trans, axis=1))
 
-    particles = np.empty((T, K), dtype=np.int64)
-    weights = np.empty((T, K))
     estimates = np.empty((T, n))
     ess = np.empty(T)
     resampled = np.zeros(T, dtype=bool)
@@ -336,8 +323,6 @@ def particle_filter(
         if total == 0.0:
             raise DegenerateWeightsError(t)
         w = w / total
-        particles[t] = x
-        weights[t] = w
         estimates[t] = np.bincount(x, weights=w, minlength=n)
         ess[t] = 1.0 / np.sum(w * w)
-    return ParticleFilterResult(particles, weights, estimates, ess, resampled)
+    return ParticleFilterResult(estimates, ess, resampled, x, w)

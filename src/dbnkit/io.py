@@ -27,10 +27,22 @@ from .errors import ModelFormatError
 from .models import ChmmModel, HmmModel, Tbn2Model, TbnVariable
 
 
-def _require(mapping, key, ctx):
+_KINDS = {dict: "an object", list: "an array", int: "an integer", str: "a string"}
+
+
+def _checked(value, kind, what):
+    """``value``, after checking that its JSON type is ``kind`` (a key of ``_KINDS``)."""
+    if type(value) is not kind:
+        got = _KINDS[type(value)] if type(value) in (dict, list) else json.dumps(value)
+        raise ModelFormatError(f"{what} must be {_KINDS[kind]}, got {got}")
+    return value
+
+
+def _require(mapping, key, ctx, kind):
+    _checked(mapping, dict, ctx)
     if key not in mapping:
         raise ModelFormatError(f'{ctx}: missing required field "{key}"')
-    return mapping[key]
+    return _checked(mapping[key], kind, f'{ctx}: "{key}"')
 
 
 def load_model(path):
@@ -42,9 +54,7 @@ def load_model(path):
             raise ModelFormatError(
                 f"{path}: invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}"
             ) from err
-    if not isinstance(doc, dict):
-        raise ModelFormatError(f"{path}: top-level value must be an object")
-    mtype = _require(doc, "type", path)
+    mtype = _require(doc, "type", path, str)
     if mtype == "hmm":
         return _hmm_from_json(doc, path)
     if mtype == "chmm":
@@ -54,62 +64,64 @@ def load_model(path):
     raise ModelFormatError(f"{path}: unknown model type {mtype!r}")
 
 
-def _hmm_from_json(doc, ctx):
-    n = _require(doc, "num_states", ctx)
-    m = _require(doc, "num_symbols", ctx)
-    pi = _require(doc, "pi", ctx)
-    trans = _require(doc, "A", ctx)
-    emit = _require(doc, "B", ctx)
+def _pi_and_emissions(doc, ctx, states_key, symbols_key, emit_key):
+    """``pi`` and emission rows of an HMM or CHMM chain object, checked against its declared counts."""
+    n = _require(doc, states_key, ctx, int)
+    m = _require(doc, symbols_key, ctx, int)
+    pi = _require(doc, "pi", ctx, list)
+    emit = _require(doc, emit_key, ctx, list)
     if len(pi) != n:
-        raise ModelFormatError(f'{ctx}: "num_states" is {n} but "pi" has length {len(pi)}')
-    if len(emit) and len(emit[0]) != m:
-        raise ModelFormatError(f'{ctx}: "num_symbols" is {m} but "B" rows have length {len(emit[0])}')
-    return HmmModel(pi=pi, trans=trans, emit=emit)
+        raise ModelFormatError(f'{ctx}: "{states_key}" is {n} but "pi" has length {len(pi)}')
+    if emit and type(emit[0]) is list and len(emit[0]) != m:
+        raise ModelFormatError(
+            f'{ctx}: "{symbols_key}" is {m} but "{emit_key}" rows have length {len(emit[0])}'
+        )
+    return pi, emit
+
+
+def _hmm_from_json(doc, ctx):
+    pi, emit = _pi_and_emissions(doc, ctx, "num_states", "num_symbols", "B")
+    return HmmModel(pi=pi, trans=_require(doc, "A", ctx, list), emit=emit)
 
 
 def _chmm_from_json(doc, ctx):
-    chains = _require(doc, "chains", ctx)
-    couplings_doc = _require(doc, "couplings", ctx)
+    chains = _require(doc, "chains", ctx, list)
+    couplings_doc = _require(doc, "couplings", ctx, list)
     initials = []
     emissions = []
     for i, chain in enumerate(chains):
-        cctx = f"{ctx}: chain {i}"
-        n = _require(chain, "states", cctx)
-        m = _require(chain, "symbols", cctx)
-        pi = _require(chain, "pi", cctx)
-        emit = _require(chain, "emit", cctx)
-        if len(pi) != n:
-            raise ModelFormatError(f'{cctx}: "states" is {n} but "pi" has length {len(pi)}')
-        if len(emit) and len(emit[0]) != m:
-            raise ModelFormatError(f'{cctx}: "symbols" is {m} but "emit" rows have length {len(emit[0])}')
+        pi, emit = _pi_and_emissions(chain, f"{ctx}: chain {i}", "states", "symbols", "emit")
         initials.append(pi)
         emissions.append(emit)
     couplings = {}
     for i, entry in enumerate(couplings_doc):
         cctx = f"{ctx}: coupling {i}"
-        key = (_require(entry, "from", cctx), _require(entry, "to", cctx))
+        key = (_require(entry, "from", cctx, int), _require(entry, "to", cctx, int))
         if key in couplings:
             raise ModelFormatError(f"{cctx}: duplicate coupling {key[0]}->{key[1]}")
-        couplings[key] = _require(entry, "matrix", cctx)
+        couplings[key] = _require(entry, "matrix", cctx, list)
     return ChmmModel(initials=initials, emissions=emissions, couplings=couplings)
 
 
 def _tbn2_from_json(doc, ctx):
-    var_docs = _require(doc, "vars", ctx)
+    var_docs = _require(doc, "vars", ctx, list)
     variables = []
     for i, var in enumerate(var_docs):
         vctx = f"{ctx}: var {i}"
+        init_parents = _require(var, "init_parents", vctx, list)
+        for j, p in enumerate(init_parents):
+            _checked(p, int, f'{vctx}: "init_parents" entry {j}')
         trans_parents = []
-        for j, parent in enumerate(_require(var, "trans_parents", vctx)):
+        for j, parent in enumerate(_require(var, "trans_parents", vctx, list)):
             pctx = f"{vctx}: trans parent {j}"
-            trans_parents.append((_require(parent, "slice", pctx), _require(parent, "var", pctx)))
+            trans_parents.append((_require(parent, "slice", pctx, int), _require(parent, "var", pctx, int)))
         variables.append(
             TbnVariable(
-                card=_require(var, "card", vctx),
-                init_parents=_require(var, "init_parents", vctx),
-                init_cpt=_require(var, "init_cpt", vctx),
+                card=_require(var, "card", vctx, int),
+                init_parents=init_parents,
+                init_cpt=_require(var, "init_cpt", vctx, list),
                 trans_parents=trans_parents,
-                trans_cpt=_require(var, "trans_cpt", vctx),
+                trans_cpt=_require(var, "trans_cpt", vctx, list),
             )
         )
     return Tbn2Model(variables=variables)

@@ -12,19 +12,29 @@ are plain integer arrays checked against a model by :func:`validate_obs`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ModelValidationError, ObservationError
+from .errors import ModelValidationError, ObservationError, SizeCapError
 
 # Absolute tolerance for a stored probability vector to count as normalized.
 PROB_ATOL = 1e-9
 
-# Default cap on joint state spaces built by flattening, unrolling and the CHMM routes.
-DEFAULT_JOINT_CAP = 10**6
+# The largest array, in bytes, that any route may allocate: joint state spaces grow
+# exponentially, so each array whose size follows from one is checked before it is built.
+MAX_ARRAY_BYTES = 2**30
+
+
+def _check_array_bytes(what, *dims):
+    """Raise SizeCapError unless an array of ``dims`` 8-byte entries fits in MAX_ARRAY_BYTES."""
+    nbytes = 8 * math.prod(int(d) for d in dims)  # Python ints: the product cannot overflow
+    if nbytes > MAX_ARRAY_BYTES:
+        shape = " x ".join(map(str, dims))
+        raise SizeCapError(f"{what} ({shape}) needs {nbytes} bytes, over the budget of {MAX_ARRAY_BYTES}")
 
 
 def _frozen_array(values, name, ndim=None, dtype=np.float64):
@@ -179,7 +189,9 @@ def _chain_conditional(model: ChmmModel, chain: int) -> np.ndarray:
     order, if some configuration gives the product zero mass.
     """
     parents = model.parents(chain)
-    grid = np.ix_(*(np.arange(model.states_per_chain[k]) for k in parents + (chain,)))
+    dims = [model.states_per_chain[k] for k in parents + (chain,)]
+    _check_array_bytes(f"chain {chain} transition table", *dims)
+    grid = np.ix_(*map(np.arange, dims))
     table = 1.0
     for axis, p in enumerate(parents):
         table = table * model.couplings[(p, chain)][grid[axis], grid[-1]]
@@ -359,7 +371,8 @@ def validate_obs(model, obs) -> np.ndarray:
 
     HMM and Tbn2 models take a 1-D sequence of symbol indices; CHMM models
     take a (T, L) array with one symbol per chain per step.  Returns the
-    validated int64 array.
+    validated int64 array, or raises SizeCapError if a T x (joint states)
+    table (evidence, alpha, beta, gamma) would not fit MAX_ARRAY_BYTES.
     """
     arr = np.asarray(obs)
     if arr.size == 0:
@@ -376,8 +389,8 @@ def validate_obs(model, obs) -> np.ndarray:
         if arr.ndim != 1:
             raise ObservationError(f"expected a 1-D symbol sequence, got shape {arr.shape}")
         _check_symbol_range(arr, model.num_symbols, "symbol")
-        return arr
-    if isinstance(model, ChmmModel):
+        states = model.num_states
+    elif isinstance(model, ChmmModel):
         L = model.num_chains
         if arr.ndim == 1 and L == 1:
             arr = arr[:, None]
@@ -387,16 +400,16 @@ def validate_obs(model, obs) -> np.ndarray:
             )
         for l, m in enumerate(model.symbols_per_chain):
             _check_symbol_range(arr[:, l], m, f"chain {l} symbol")
-        return arr
-    if isinstance(model, Tbn2Model):
+        states = math.prod(model.states_per_chain)
+    elif isinstance(model, Tbn2Model):
         if arr.ndim != 1:
             raise ObservationError(f"expected a 1-D assignment sequence, got shape {arr.shape}")
-        joint = 1
-        for c in model.cardinalities:
-            joint *= c
-        _check_symbol_range(arr, joint, "joint assignment")
-        return arr
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+        states = math.prod(model.cardinalities)
+        _check_symbol_range(arr, states, "joint assignment")
+    else:
+        raise TypeError(f"unsupported model type {type(model).__name__}")
+    _check_array_bytes("evidence table", arr.shape[0], states)
+    return arr
 
 
 def _check_symbol_range(values, size, what):

@@ -113,21 +113,29 @@ def test_chain_marginals_normalized():
         assert np.allclose(chain_gamma.sum(axis=1), 1.0, atol=1e-9)
 
 
-def test_size_cap_applies():
-    rng = np.random.default_rng(25)
-    m = random_chmm([3, 3, 3], [2, 2, 2], rng)
-    obs = _rand_obs(m, 3, rng)
-    with pytest.raises(SizeCapError):
-        chmm_forward(m, obs, max_joint_states=26)
-    with pytest.raises(SizeCapError):
-        chmm_backward(m, obs, np.ones(3), max_joint_states=26)
-    with pytest.raises(SizeCapError):
-        chmm_smooth(m, obs, max_joint_states=26)
+def test_size_cap_applies(monkeypatch):
+    # 4 chains of 31 states build cheaply, but their 923,521 x 923,521 joint
+    # transition would take 6.8 TB, so every route must refuse it unbuilt.
+    def never(model):
+        raise AssertionError("joint transition built for an oversized model")
+
+    monkeypatch.setattr("dbnkit.chmm._joint_transition", never)
+    m = random_chmm([31] * 4, [2] * 4, np.random.default_rng(25))
+    obs = np.zeros((3, 4), dtype=np.int64)
+    for call in (
+        lambda: chmm_forward(m, obs),
+        lambda: chmm_backward(m, obs, np.ones(3)),
+        lambda: chmm_smooth(m, obs),
+        lambda: chmm_likelihood(m, obs),
+        lambda: chmm_em(m, [obs], EmConfig(max_iterations=1)),
+    ):
+        with pytest.raises(SizeCapError, match=f"joint transition .* needs {8 * 31**8} bytes"):
+            call()
 
 
 def test_em_checks_size_cap_before_building_joint_arrays(monkeypatch):
-    # 101^3 = 1,030,301 joint states, just over DEFAULT_JOINT_CAP: the dense
-    # transition would take 8.5 TB, so it must be refused before it is built.
+    # 101^3 = 1,030,301 joint states: the dense transition would take 8.5 TB,
+    # far over models.MAX_ARRAY_BYTES, so it must be refused before it is built.
     def never(model):
         raise AssertionError("joint transition built for an oversized model")
 

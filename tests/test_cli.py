@@ -33,6 +33,38 @@ def test_validate_bad_model(tmp_path, capsys):
     assert "pi sums to" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {"type": "hmm", "num_states": 1, "num_symbols": 1, "pi": 5, "A": [[1.0]], "B": [[1.0]]},
+            '"pi" must be an array, got 5',
+        ),
+        ({"type": "chmm", "chains": [3], "couplings": []}, "chain 0 must be an object, got 3"),
+        (
+            {
+                "type": "tbn2",
+                "vars": [
+                    {
+                        "card": "x",
+                        "init_parents": [],
+                        "init_cpt": [[1.0]],
+                        "trans_parents": [],
+                        "trans_cpt": [[1.0]],
+                    }
+                ],
+            },
+            'var 0: "card" must be an integer, got "x"',
+        ),
+    ],
+)
+def test_validate_malformed_model_names_path_and_field(tmp_path, capsys, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--model", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 def test_missing_file_is_data_error(capsys):
     assert main(["validate", "--model", "/nonexistent/model.json"]) == 2
     assert capsys.readouterr().err.startswith("error:")
@@ -42,6 +74,34 @@ def test_usage_error_exit_code(model_file, capsys):
     assert main(["validate"]) == 1
     assert capsys.readouterr().err.startswith("usage error:")
     assert main(["no-such-command"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["filter", "--model", "{model}", "--obs", "0 1", "--particles", "0"],
+        ["filter", "--model", "{model}", "--obs", "0 1", "--particles", "-5"],
+        ["sample", "--model", "{model}", "--length", "3", "--count", "0"],
+        ["sample", "--model", "{model}", "--length", "3", "--count", "-1"],
+        ["sample", "--model", "{model}", "--length", "0"],
+        ["sample", "--model", "{model}", "--length", "3", "--seed", "-1"],
+        ["predict", "--model", "{model}", "--obs", "0 1", "--horizon", "0"],
+        ["train", "--model", "{model}", "--obs", "0 1", "--out", "{out}", "--max-iters", "0"],
+        ["train", "--model", "{model}", "--obs", "0 1", "--out", "{out}", "--tol", "-1"],
+        ["train", "--model", "{model}", "--obs", "0 1", "--out", "{out}", "--tol", "nan"],
+        ["train", "--model", "{model}", "--obs", "0 1", "--out", "{out}", "--pseudocount", "-0.5"],
+        ["oracle-check", "--count", "0"],
+    ],
+)
+def test_out_of_range_number_is_a_usage_error(model_file, tmp_path, capsys, argv):
+    out = tmp_path / "trained.json"
+    argv = [arg.format(model=model_file, out=out) for arg in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: argument ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert not out.exists()
 
 
 def test_likelihood_worked_example(model_file, capsys):

@@ -53,11 +53,18 @@ def test_flatten_likelihood_matches_direct_recursion():
     assert direct == pytest.approx(flat, abs=1e-12)
 
 
-def test_flatten_size_cap():
-    rng = np.random.default_rng(1)
-    m = random_chmm([4, 4, 4], [2, 2, 2], rng)
-    with pytest.raises(SizeCapError):
-        flatten_chmm(m, max_joint_states=63)
+def test_flatten_size_cap(monkeypatch):
+    # 4 chains of 31 states: the 923,521 x 923,521 joint transition would take 6.8 TB
+    m = random_chmm([31] * 4, [2] * 4, np.random.default_rng(1))
+    with pytest.raises(SizeCapError, match="joint transition"):
+        flatten_chmm(m)
+    # n = 4 joint states and m = 900 joint symbols: the emission is the larger array
+    small = random_chmm([2, 2], [30, 30], np.random.default_rng(2))
+    monkeypatch.setattr("dbnkit.models.MAX_ARRAY_BYTES", 8 * 4 * 900 - 1)
+    with pytest.raises(SizeCapError, match=r"joint emission \(4 x 900\) needs 28800 bytes"):
+        flatten_chmm(small)
+    monkeypatch.setattr("dbnkit.models.MAX_ARRAY_BYTES", 8 * 4 * 900)
+    assert flatten_chmm(small).emit.shape == (4, 900)
 
 
 def test_flatten_obs_row_major_indexing():
@@ -154,6 +161,18 @@ def test_unroll_coupled_likelihood_matches_oracle():
 
 
 def test_unroll_size_cap():
-    model, _, _ = _coupled_pair()
-    with pytest.raises(SizeCapError):
-        unroll_tbn(model, max_joint_states=3)
+    # 19 binary variables: 2**19 joint assignments, so the n x n transition would take 2.2 TB
+    model = Tbn2Model(
+        variables=[
+            TbnVariable(
+                card=2,
+                init_parents=(),
+                init_cpt=[[0.5, 0.5]],
+                trans_parents=[(0, v)],
+                trans_cpt=[[0.9, 0.1], [0.2, 0.8]],
+            )
+            for v in range(19)
+        ]
+    )
+    with pytest.raises(SizeCapError, match=r"joint transition \(524288 x 524288\)"):
+        unroll_tbn(model)

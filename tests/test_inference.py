@@ -7,6 +7,8 @@ from dbnkit import (
     DegenerateWeightsError,
     HmmModel,
     ImpossibleObservationError,
+    PosteriorResult,
+    SizeCapError,
     backward,
     chmm_backward,
     filter,
@@ -19,6 +21,7 @@ from dbnkit import (
     random_hmm,
     smooth,
 )
+from dbnkit import models
 from dbnkit.inference import _lifting_table, _propagate, _systematic_resample
 from dbnkit.oracle import enum_likelihood, enum_posterior
 
@@ -187,11 +190,9 @@ def test_particle_filter_deterministic_model():
     m = HmmModel(pi=[1.0, 0.0], trans=[[0.0, 1.0], [1.0, 0.0]], emit=np.eye(2))
     obs = [0, 1, 0, 1]
     result = particle_filter(m, obs, num_particles=64, seed=5)
-    expected_states = np.array(obs)
-    for t in range(4):
-        assert np.all(result.particles[t] == expected_states[t])
-        assert np.allclose(result.weights[t], 1.0 / 64)
-        assert np.allclose(result.estimates[t], np.eye(2)[expected_states[t]])
+    assert np.allclose(result.estimates, np.eye(2)[obs])
+    assert np.all(result.final_particles == obs[-1])
+    assert np.allclose(result.final_weights, 1.0 / 64)
     # every particle agrees, so the ESS is K, never below the threshold, even at 1.0 * K
     assert np.array_equal(result.ess, np.full(4, 64.0))
     assert not result.resampled.any()
@@ -203,18 +204,18 @@ def test_particle_filter_single_particle_one_hot(worked_model, worked_obs):
     for t in range(len(worked_obs)):
         assert result.estimates[t].sum() == pytest.approx(1.0)
         assert np.count_nonzero(result.estimates[t]) == 1
-    step = result.step(1)
-    assert step.particles.shape == (1,)
-    assert step.weights[0] == pytest.approx(1.0)
+    assert result.final_particles.shape == (1,)
+    assert result.final_weights[0] == pytest.approx(1.0)
 
 
 def test_particle_filter_deterministic_in_seed(worked_model, worked_obs):
     a = particle_filter(worked_model, worked_obs, 500, seed=42)
     b = particle_filter(worked_model, worked_obs, 500, seed=42)
-    assert np.array_equal(a.particles, b.particles)
-    assert np.array_equal(a.weights, b.weights)
+    for field in ("estimates", "ess", "resampled", "final_particles", "final_weights"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
     c = particle_filter(worked_model, worked_obs, 500, seed=43)
-    assert not np.array_equal(a.particles, c.particles)
+    assert not np.array_equal(a.estimates, c.estimates)
+    assert not np.array_equal(a.final_particles, c.final_particles)
 
 
 def test_particle_filter_degenerate_weights_error():
@@ -280,9 +281,10 @@ def test_particle_filter_bit_identical_to_comparison_count(n):
         obs = rng.integers(0, 4, size=25)
         result = particle_filter(model, obs, num_particles=300, seed=n)
         particles, weights, estimates = _particle_filter_by_comparison(model, obs, 300, n)
-        assert np.array_equal(result.particles, particles)
-        assert np.array_equal(result.weights, weights)
         assert np.array_equal(result.estimates, estimates)
+        assert np.array_equal(result.ess, [1.0 / np.sum(w * w) for w in weights])
+        assert np.array_equal(result.final_particles, particles[-1])
+        assert np.array_equal(result.final_weights, weights[-1])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 9])
@@ -301,9 +303,12 @@ def test_propagate_counts_at_and_just_below_every_cumulative_value(n):
 def test_particle_filter_ess_is_inverse_sum_of_squared_weights():
     rng = np.random.default_rng(61)
     model = random_hmm(6, 3, rng)
-    result = particle_filter(model, rng.integers(0, 3, size=40), num_particles=200, seed=4)
-    assert np.array_equal(result.ess, 1.0 / np.sum(result.weights**2, axis=1))
-    assert not result.ess.flags.writeable and not result.resampled.flags.writeable
+    obs = rng.integers(0, 3, size=40)
+    result = particle_filter(model, obs, num_particles=200, seed=4)
+    _, weights, _ = _particle_filter_by_comparison(model, obs, 200, 4)
+    assert np.array_equal(result.ess, 1.0 / np.sum(weights**2, axis=1))
+    for field in ("estimates", "ess", "resampled", "final_particles", "final_weights"):
+        assert not getattr(result, field).flags.writeable
 
 
 @pytest.mark.parametrize("threshold", [0.0, 0.5, 0.9, 1.0])
@@ -320,6 +325,9 @@ def test_particle_filter_validates_arguments(worked_model, worked_obs):
         particle_filter(worked_model, worked_obs, 0, seed=1)
     with pytest.raises(ValueError):
         particle_filter(worked_model, worked_obs, 10, seed=1, resample_threshold=1.5)
+    # 10**12 particles would take 8 TB per ensemble array
+    with pytest.raises(SizeCapError, match="particle ensemble"):
+        particle_filter(worked_model, worked_obs, 10**12, seed=1)
 
 
 def test_oracle_equivalence_sample():
@@ -375,3 +383,25 @@ def test_smooth_does_not_allocate_xi_until_read():
         tracemalloc.stop()
     assert post.gamma.shape == (T, n)
     assert peak < (T - 1) * n * n * 8 / 4
+
+
+class _NeverMultiplied(np.ndarray):
+    """An array that fails any arithmetic, so that an attempt to build xi from it shows."""
+
+    def __array_ufunc__(self, *args, **kwargs):
+        raise AssertionError("xi built")
+
+
+def test_xi_read_checks_its_bytes_before_building_it():
+    n = 256
+    slices = models.MAX_ARRAY_BYTES // (8 * n * n)
+    trans = np.full((n, n), 1.0 / n).view(_NeverMultiplied)
+
+    def posterior(steps):
+        rows = np.broadcast_to(np.full(n, 1.0 / n), (steps, n))
+        return PosteriorResult(rows, rows, trans, rows[1:])
+
+    with pytest.raises(AssertionError, match="xi built"):
+        posterior(slices + 1).xi  # (T-1) x n x n is exactly the budget: xi is built
+    with pytest.raises(SizeCapError, match=rf"xi \({slices + 1} x 256 x 256\)"):
+        posterior(slices + 2).xi

@@ -8,12 +8,15 @@ from dbnkit import (
     HmmModel,
     ModelValidationError,
     ObservationError,
+    SizeCapError,
     Tbn2Model,
     TbnVariable,
     check_distribution,
     nearest_neighbor_parents,
+    random_chmm,
     validate_obs,
 )
+from dbnkit import models
 from dbnkit.models import PROB_ATOL, _check_stochastic_matrix
 
 
@@ -288,3 +291,13 @@ def test_validate_obs_single_chain_accepts_flat_sequence():
     m = _one_chain_chmm()
     out = validate_obs(m, [0, 1, 1])
     assert out.shape == (3, 1)
+
+
+def test_validate_obs_refuses_an_evidence_table_over_the_byte_budget():
+    # 4 chains of 31 states: each step of the evidence, alpha, beta and gamma
+    # tables holds 923,521 joint states, 7.4 MB
+    m = random_chmm([31] * 4, [2] * 4, np.random.default_rng(5))
+    steps = models.MAX_ARRAY_BYTES // (8 * 31**4)
+    assert validate_obs(m, np.zeros((steps, 4), dtype=np.int64)).shape == (steps, 4)
+    with pytest.raises(SizeCapError, match=rf"evidence table \({steps + 1} x 923521\)"):
+        validate_obs(m, np.zeros((steps + 1, 4), dtype=np.int64))

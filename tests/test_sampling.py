@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dbnkit import HmmModel, random_chmm, random_hmm, sample, validate_chmm, validate_hmm
+from dbnkit import HmmModel, SizeCapError, random_chmm, random_hmm, sample, validate_chmm, validate_hmm
 
 
 def test_same_seed_reproduces_hmm_sample(worked_model):
@@ -64,3 +64,18 @@ def test_random_models_are_valid():
                 rng,
             )
         )
+
+
+def test_chmm_sample_refuses_an_oversized_chain_table_before_building_it(monkeypatch):
+    # chain 0's parents are all 6 chains of 31 states, so its transition table
+    # has 31**7 entries (220 GB)
+    parents = [tuple(range(6))] + [(l,) for l in range(1, 6)]
+    m = random_chmm([31] * 6, [2] * 6, np.random.default_rng(3), parents=parents)
+
+    def never(*args):
+        raise AssertionError("chain table built for an oversized model")
+
+    # The table is built over an np.ix_ grid, so nothing of it exists before that call.
+    monkeypatch.setattr(np, "ix_", never)
+    with pytest.raises(SizeCapError, match="chain 0 transition table"):
+        sample(m, 5, seed=0)
