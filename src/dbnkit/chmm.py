@@ -14,17 +14,19 @@ stay structurally separate and can cross-validate each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .inference import (
     ForwardResult,
-    _backward_table,
+    _backward_stack,
     _checked_scale,
     _expectations,
-    _forward_table,
+    _forward_one,
     _freeze,
-    _smooth_table,
+    _log_likelihoods,
+    _smooth_one,
 )
 from .learning import EmConfig, _run_em, normalize_rows
 from .models import ChmmModel, _chain_conditional, _check_array_bytes, validate_obs
@@ -79,11 +81,14 @@ def _joint_initial(model):
 
 
 def _evidence_table(model, obs):
-    """E[t, r]: probability of step t's per-chain symbols in joint state r, chain 0 first."""
+    """E[..., t, r]: probability of step t's per-chain symbols in joint state r, chain 0 first.
+
+    ``obs`` is one sequence ``[T, L]`` or a stack ``[B, T, L]``.
+    """
     E = None
     for l in range(model.num_chains):
-        cols = model.emissions[l].T[obs[:, l]]
-        E = cols if E is None else (E[:, :, None] * cols[:, None, :]).reshape(obs.shape[0], -1)
+        cols = model.emissions[l].T[obs[..., l]]
+        E = cols if E is None else (E[..., :, None] * cols[..., None, :]).reshape(obs.shape[:-1] + (-1,))
     return E
 
 
@@ -96,7 +101,7 @@ def chmm_forward(model: ChmmModel, obs) -> ForwardResult:
     """
     obs = validate_obs(model, obs)
     pi, trans = _joint_chain(model)
-    return _forward_table(pi, trans, _evidence_table(model, obs))
+    return _forward_one(pi, trans, _evidence_table(model, obs))
 
 
 def chmm_backward(model: ChmmModel, obs, scale_factors) -> np.ndarray:
@@ -104,7 +109,7 @@ def chmm_backward(model: ChmmModel, obs, scale_factors) -> np.ndarray:
     obs = validate_obs(model, obs)
     _, trans = _joint_chain(model)
     scale_factors = _checked_scale(scale_factors, obs.shape[0])
-    return _backward_table(trans, _evidence_table(model, obs), scale_factors)
+    return _backward_stack(trans, _evidence_table(model, obs)[None], scale_factors[None])[0]
 
 
 def chmm_likelihood(model: ChmmModel, obs) -> float:
@@ -116,7 +121,7 @@ def chmm_smooth(model: ChmmModel, obs) -> ChmmPosterior:
     """Joint smoothed posterior and per-chain marginals for a coupled HMM."""
     obs = validate_obs(model, obs)
     pi, trans = _joint_chain(model)
-    _, gamma, _ = _smooth_table(pi, trans, _evidence_table(model, obs))
+    _, gamma, _ = _smooth_one(pi, trans, _evidence_table(model, obs))
     return ChmmPosterior(gamma, _chain_marginals(model, gamma))
 
 
@@ -162,10 +167,15 @@ def _chmm_e_step(model, sequences):
     emit_counts = [np.zeros((sizes[l], symbols[l])) for l in range(L)]
     pair_counts = {key: np.zeros(mat.shape) for key, mat in model.couplings.items()}
     total_ll = 0.0
-    tables = (_evidence_table(model, obs) for obs in sequences)
-    for obs, (gamma, xi_sum, ll) in zip(sequences, _expectations(pi, trans, tables)):
+    per_sequence = _expectations(
+        pi, trans, sequences, partial(_evidence_table, model),
+        lambda obs, gamma, xi_sums, lls: [
+            (_chain_marginals(model, g), xi_sum, ll) for g, xi_sum, ll in zip(gamma, xi_sums, lls)
+        ],
+        trans.shape[0],
+    )
+    for obs, (chain_gammas, xi_sum, ll) in zip(sequences, per_sequence):
         total_ll += ll
-        chain_gammas = _chain_marginals(model, gamma)
         for l in range(L):
             init_counts[l] += chain_gammas[l][0]
             np.add.at(emit_counts[l].T, obs[:, l], chain_gammas[l])
@@ -179,8 +189,8 @@ def _chmm_e_step(model, sequences):
 def _total_log_likelihood(model, sequences):
     pi, trans = _joint_chain(model)
     total = 0.0
-    for obs in sequences:
-        total += _forward_table(pi, trans, _evidence_table(model, obs)).log_likelihood
+    for ll in _log_likelihoods(pi, trans, sequences, partial(_evidence_table, model)):
+        total += ll
     return total
 
 

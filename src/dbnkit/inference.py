@@ -5,11 +5,13 @@ log P(y_{1:T}) accumulates as sum(log c_t) without underflow.  The backward
 pass reuses the same factors, one step out of phase, which makes the
 smoothed posterior simply the elementwise product of the two scaled tables.
 
-The recursion is written once, over an evidence table ``E[t, i]``, the
-probability of step t's observation in state i.  HMMs and unrolled
-two-slice templates fill it from emission columns (``emit.T[obs]``);
-coupled HMMs (:mod:`dbnkit.chmm`) fill it from products of per-chain
-emission columns, and Baum-Welch and coupled EM share its E-step.
+The recursion is written once, over a stack of evidence tables
+``E[b, t, i]``, the probability of step t's observation of sequence b in
+state i; a single sequence is a stack of one.  HMMs and unrolled two-slice
+templates fill it from emission columns (``emit.T[obs]``); coupled HMMs
+(:mod:`dbnkit.chmm`) fill it from products of per-chain emission columns.
+Baum-Welch and coupled EM share its E-step, which stacks the sequences of
+each length and runs every table of a stack in the same step.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateWeightsError, ImpossibleObservationError
-from .models import HmmModel, _check_array_bytes, validate_obs
+from .models import HmmModel, _check_array_bytes, _rows_within_budget, validate_obs
 
 
 def _freeze(*arrays):
@@ -61,7 +63,7 @@ class PosteriorResult:
 
     ``gamma[t, i]`` is P(x_t = i | y_{1:T}); ``xi[t, i, j]`` is
     P(x_t = i, x_{t+1} = j | y_{1:T}), so xi has T-1 slices.  xi is built
-    from the pairwise weights of :func:`_smooth_table` when first read, and
+    from the pairwise weights of :func:`_smooth_one` when first read, and
     reading it raises SizeCapError if it would not fit
     ``models.MAX_ARRAY_BYTES``.
     """
@@ -83,60 +85,152 @@ class PosteriorResult:
         return xi
 
 
-def _forward_table(pi, trans, E) -> ForwardResult:
-    """Scaled forward recursion over the evidence table ``E``."""
-    T, n = E.shape
-    scaled = np.empty((T, n))
-    scale = np.empty(T)
-    a = pi * E[0]
-    for t in range(T):
-        if t > 0:
-            a = (scaled[t - 1] @ trans) * E[t]
-        c = a.sum()
-        if c == 0.0:
-            raise ImpossibleObservationError(t)
-        scale[t] = c
-        scaled[t] = a / c
-    return ForwardResult(scaled, scale, float(np.log(scale).sum()))
+def _forward_stack(pi, trans, E):
+    """Scaled forward recursion over every table of the stack ``E[B, T, n]`` at once.
+
+    Returns ``(alpha, scale, first)``.  ``first[b]`` is the first step at which
+    table b has zero mass, or T if it has none; such a table's later rows are
+    NaN and are not to be read, but the other tables run on.  Each row is
+    computed exactly as a one-table recursion would compute it: the step is
+    one vector-matrix product per table, ``(B, 1, n) @ (n, n)``, where a 2-D
+    ``(B, n) @ (n, n)`` would round differently.
+    """
+    B, T, n = E.shape
+    alpha = np.empty((B, T, 1, n))
+    scale = np.empty((B, T, 1, 1))
+    rows = E[:, :, None, :]
+    np.multiply(pi, rows[:, 0], out=alpha[:, 0])
+    # A zero-mass step divides 0 by 0; testing every step for it would cost
+    # as much as the step's arithmetic at small n, so it is found afterwards.
+    with np.errstate(invalid="ignore"):
+        for t in range(T):
+            a = alpha[:, t]
+            if t > 0:
+                np.matmul(alpha[:, t - 1], trans, out=a)
+                a *= rows[:, t]
+            a /= a.sum(axis=2, keepdims=True, out=scale[:, t])
+    scale = scale.reshape(B, T)
+    zero = scale == 0.0
+    first = np.where(zero.any(axis=1), zero.argmax(axis=1), T)
+    return alpha.reshape(B, T, n), scale, first
 
 
-def _backward_table(trans, E, scale):
-    """Scaled backward recursion over ``E``, using the forward pass's factors."""
-    T = E.shape[0]
-    beta = np.empty(E.shape)
-    beta[T - 1] = 1.0
+def _backward_stack(trans, E, scale):
+    """Scaled backward recursion over the stack ``E[B, T, n]``, using the forward pass's factors.
+
+    Overwrites ``E[:, 1:]`` with the pairwise weights
+    ``w[:, t] = E[:, t+1] * beta[:, t+1] / c[:, t+1]``, so that
+    xi_t = alpha[t][:, None] * trans * w[t] for each table.  The step is one
+    matrix-vector product per table, ``(n, n) @ (B, n, 1)``.
+    """
+    B, T, n = E.shape
+    beta = np.empty((B, T, n, 1))
+    beta[:, T - 1] = 1.0
+    cols = E[:, :, :, None]
+    c = scale[:, :, None, None]
     for t in range(T - 2, -1, -1):
-        beta[t] = trans @ (E[t + 1] * beta[t + 1]) / scale[t + 1]
-    return beta
+        v = cols[:, t + 1]
+        v *= beta[:, t + 1]
+        np.matmul(trans, v, out=beta[:, t])
+        beta[:, t] /= c[:, t + 1]
+    # Table by table: numpy runs a 3-D broadcast division through buffers
+    # that add to the peak memory held by the stacks.
+    for e, s in zip(E, scale):
+        e[1:] /= s[1:, None]
+    return beta.reshape(B, T, n)
 
 
-def _smooth_table(pi, trans, E):
-    """Forward pass, smoothed gamma and pairwise weights ``w`` over ``E``.
+def _posterior_stack(trans, E, alpha, scale):
+    """Smoothed gamma and pairwise weights ``w`` of a forward pass over ``E``.
 
-    ``w[t] = E[t+1] * beta[t+1] / c[t+1]``, so xi_t = alpha[t][:, None] * trans * w[t].
+    gamma is written over the backward table and ``w`` over ``E[:, 1:]``.
     """
-    fwd = _forward_table(pi, trans, E)
-    beta = _backward_table(trans, E, fwd.scale_factors)
-    gamma = fwd.scaled_alpha * beta
-    gamma /= gamma.sum(axis=1, keepdims=True)
-    return fwd, gamma, E[1:] * beta[1:] / fwd.scale_factors[1:, None]
+    gamma = _backward_stack(trans, E, scale)
+    gamma *= alpha
+    for g in gamma:  # table by table, as in _backward_stack
+        g /= g.sum(axis=1, keepdims=True)
+    return gamma, E[:, 1:]
 
 
-def _expectations(pi, trans, tables):
-    """Yield (gamma, sum over t of xi_t, log-likelihood) for each evidence table.
+def _forward_one(pi, trans, E) -> ForwardResult:
+    """The forward pass over one evidence table ``E[T, n]``, as a stack of one."""
+    alpha, scale, first = _forward_stack(pi, trans, E[None])
+    if first[0] < E.shape[0]:
+        raise ImpossibleObservationError(int(first[0]))
+    return ForwardResult(alpha[0], scale[0], float(np.log(scale[0]).sum()))
 
-    An impossible observation is reported with the index of its sequence.
+
+def _smooth_one(pi, trans, E):
+    """Forward pass, gamma and pairwise weights over one evidence table, which it overwrites."""
+    fwd = _forward_one(pi, trans, E)
+    gamma, w = _posterior_stack(trans, E[None], fwd.scaled_alpha[None], fwd.scale_factors[None])
+    return fwd, gamma[0], w[0]
+
+
+def _grouped(pi, trans, sequences, evidence, width, finish):
+    """Run the forward pass over stacks of equal-length sequences; yield per-sequence items in order.
+
+    A length-T group is cut into chunks of at most
+    MAX_ARRAY_BYTES // (8 n max(T, width)) sequences, so that each of a
+    chunk's B x T x n tables and B x width x n statistics fits the byte
+    budget.  ``evidence(obs)`` maps a chunk's observations ``obs[B, T, ...]``
+    to its evidence stack ``E[B, T, n]``, and ``finish(obs, E, alpha, scale)``
+    returns one item per sequence of the chunk.  An impossible observation
+    stops no chunk's forward pass; once every chunk has run, the lowest-index
+    failing sequence is reported at its first impossible step.
     """
-    for idx, E in enumerate(tables):
-        try:
-            fwd, gamma, w = _smooth_table(pi, trans, E)
-        except ImpossibleObservationError as err:
-            raise ImpossibleObservationError(
-                err.t,
-                f"sequence {idx}: observation at time step {err.t} is impossible "
-                "under the current model",
-            ) from err
-        yield gamma, trans * (fwd.scaled_alpha[:-1].T @ w), fwd.log_likelihood
+    groups = {}
+    for i, obs in enumerate(sequences):
+        groups.setdefault(obs.shape[0], []).append(i)
+    failure = None
+    pending, nxt = {}, 0
+    for T, members in groups.items():
+        size = _rows_within_budget(trans.shape[0], max(T, width))
+        for k in range(0, len(members), size):
+            idx = members[k : k + size]
+            obs = np.stack([sequences[i] for i in idx])
+            E = evidence(obs)
+            alpha, scale, first = _forward_stack(pi, trans, E)
+            bad = np.flatnonzero(first < T)
+            if bad.size:
+                cand = (idx[bad[0]], int(first[bad[0]]))
+                failure = cand if failure is None else min(failure, cand)
+            if failure is None:
+                pending.update(zip(idx, finish(obs, E, alpha, scale)))
+                while nxt in pending:
+                    yield pending.pop(nxt)
+                    nxt += 1
+    if failure is not None:
+        i, t = failure
+        raise ImpossibleObservationError(
+            t, f"sequence {i}: observation at time step {t} is impossible under the current model"
+        )
+
+
+def _expectations(pi, trans, sequences, evidence, summarize, width):
+    """Yield each sequence's E-step statistics, in the order of ``sequences``.
+
+    Per chunk of equal-length sequences (see :func:`_grouped`), gamma, the
+    sums over t of xi_t and the log-likelihoods are computed for the whole
+    stack; ``summarize(obs, gamma, xi_sums, lls)`` reduces them to one item
+    per sequence, and ``width`` bounds its per-sequence arrays to
+    width x n entries.
+    """
+
+    def finish(obs, E, alpha, scale):
+        gamma, w = _posterior_stack(trans, E, alpha, scale)
+        xi_sums = np.matmul(np.swapaxes(alpha[:, :-1], 1, 2), w)
+        xi_sums *= trans
+        return summarize(obs, gamma, xi_sums, np.log(scale).sum(axis=1).tolist())
+
+    return _grouped(pi, trans, sequences, evidence, width, finish)
+
+
+def _log_likelihoods(pi, trans, sequences, evidence):
+    """Yield each sequence's log-likelihood, in order, from forward passes over length stacks."""
+    return _grouped(
+        pi, trans, sequences, evidence, 0, lambda obs, E, alpha, scale: np.log(scale).sum(axis=1).tolist()
+    )
 
 
 def _checked_scale(scale_factors, T):
@@ -158,7 +252,7 @@ def forward(model: HmmModel, obs) -> ForwardResult:
     first step whose total probability is exactly zero.
     """
     obs = validate_obs(model, obs)
-    return _forward_table(model.pi, model.trans, model.emit.T[obs])
+    return _forward_one(model.pi, model.trans, model.emit.T[obs])
 
 
 def backward(model: HmmModel, obs, scale_factors) -> BackwardResult:
@@ -169,7 +263,8 @@ def backward(model: HmmModel, obs, scale_factors) -> BackwardResult:
     """
     obs = validate_obs(model, obs)
     scale_factors = _checked_scale(scale_factors, obs.shape[0])
-    return BackwardResult(_backward_table(model.trans, model.emit.T[obs], scale_factors))
+    E = model.emit.T[obs][None]
+    return BackwardResult(_backward_stack(model.trans, E, scale_factors[None])[0])
 
 
 def log_likelihood(model: HmmModel, obs) -> float:
@@ -185,7 +280,7 @@ def filter(model: HmmModel, obs) -> np.ndarray:
 def smooth(model: HmmModel, obs) -> PosteriorResult:
     """Full-sequence smoothing: gamma, plus pairwise xi built when it is read."""
     obs = validate_obs(model, obs)
-    fwd, gamma, w = _smooth_table(model.pi, model.trans, model.emit.T[obs])
+    fwd, gamma, w = _smooth_one(model.pi, model.trans, model.emit.T[obs])
     return PosteriorResult(gamma, fwd.scaled_alpha, model.trans, w)
 
 

@@ -54,6 +54,10 @@ def load_model(path):
             raise ModelFormatError(
                 f"{path}: invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}"
             ) from err
+        except UnicodeDecodeError as err:
+            raise ModelFormatError(f"{path}: not UTF-8 text") from err
+        except RecursionError as err:
+            raise ModelFormatError(f"{path}: JSON nested too deeply") from err
     mtype = _require(doc, "type", path, str)
     if mtype == "hmm":
         return _hmm_from_json(doc, path)
@@ -221,10 +225,12 @@ def load_observations(path):
     """Read an observation file: one sequence per line, blank lines skipped."""
     sequences = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            sequences.append(parse_obs_line(line, ctx=f"{path}: line {lineno}"))
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if line.strip():
+                    sequences.append(parse_obs_line(line, ctx=f"{path}: line {lineno}"))
+        except UnicodeDecodeError as err:
+            raise ModelFormatError(f"{path}: not UTF-8 text") from err
     if not sequences:
         raise ModelFormatError(f"{path}: no observation sequences found")
     return sequences

@@ -114,15 +114,25 @@ def mle_complete(data, num_states: int, num_symbols: int, pseudocount: float = 0
 
 
 def _e_step(model, sequences):
-    stats = SufficientStats.zeros(model.num_states, model.num_symbols)
+    n, m = model.num_states, model.num_symbols
+
+    def summarize(obs, gamma, xi_sums, lls):
+        # add.at applies the indices in order, so each sequence's counts
+        # are summed step by step, exactly as one sequence at a time.
+        B = obs.shape[0]
+        emis = np.zeros((B, m, n))
+        np.add.at(emis, (np.arange(B)[:, None], obs), gamma)
+        return zip(gamma[:, 0].copy(), xi_sums, emis, lls)
+
+    stats = SufficientStats.zeros(n, m)
     total_ll = 0.0
-    tables = (model.emit.T[obs] for obs in sequences)
-    for obs, (gamma, xi_sum, ll) in zip(sequences, _expectations(model.pi, model.trans, tables)):
+    per_sequence = _expectations(
+        model.pi, model.trans, sequences, lambda obs: model.emit.T[obs], summarize, max(n, m)
+    )
+    for gamma0, xi_sum, emis, ll in per_sequence:
         total_ll += ll
-        stats.expected_initial += gamma[0]
+        stats.expected_initial += gamma0
         stats.expected_transitions += xi_sum
-        emis = np.zeros((model.num_symbols, model.num_states))
-        np.add.at(emis, obs, gamma)
         stats.expected_emissions += emis.T
     return stats, total_ll
 

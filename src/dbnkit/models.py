@@ -37,6 +37,11 @@ def _check_array_bytes(what, *dims):
         raise SizeCapError(f"{what} ({shape}) needs {nbytes} bytes, over the budget of {MAX_ARRAY_BYTES}")
 
 
+def _rows_within_budget(*dims):
+    """How many arrays of ``dims`` 8-byte entries fit in MAX_ARRAY_BYTES together; at least 1."""
+    return max(1, MAX_ARRAY_BYTES // (8 * math.prod(int(d) for d in dims)))
+
+
 def _frozen_array(values, name, ndim=None, dtype=np.float64):
     try:
         arr = np.array(values, dtype=dtype)

@@ -65,6 +65,25 @@ def test_validate_malformed_model_names_path_and_field(tmp_path, capsys, doc, me
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "content, command, message",
+    [
+        (b"\xff\xfe{}", "validate", "not UTF-8 text"),
+        (b"\xff\xfe0 1", "likelihood", "not UTF-8 text"),
+        (b"[" * 100_000, "validate", "JSON nested too deeply"),
+    ],
+)
+def test_unreadable_input_file_is_data_error(tmp_path, model_file, capsys, content, command, message):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(content)
+    if command == "validate":
+        argv = ["validate", "--model", str(path)]
+    else:
+        argv = ["likelihood", "--model", model_file, "--obs", str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 def test_missing_file_is_data_error(capsys):
     assert main(["validate", "--model", "/nonexistent/model.json"]) == 2
     assert capsys.readouterr().err.startswith("error:")
