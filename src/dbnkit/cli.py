@@ -9,6 +9,7 @@ invocations are byte-identical and diffable.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -18,9 +19,9 @@ from . import chmm as chmm_mod
 from . import inference, learning
 from .convert import flatten_chmm, flatten_obs, unroll_tbn
 from .decoding import viterbi
-from .errors import DbnError
+from .errors import DbnError, SizeCapError
 from .io import format_obs, load_model, load_observations, parse_obs_line, save_model, save_observations
-from .models import ChmmModel, HmmModel, Tbn2Model
+from .models import ChmmModel, HmmModel, Tbn2Model, _chain_conditional
 from .oracle import run_equivalence_checks
 from .sampling import sample
 
@@ -61,17 +62,120 @@ def _fmt(x) -> str:
     return format(float(x), ".12g")
 
 
+# Values per formatted block: small enough that every temporary of a block
+# (the largest is 64 KB) stays under glibc's default 128 KB mmap threshold.
+_BLOCK_VALUES = 2048
+# Lowest and highest decimal exponent of a fast-path value, with a margin
+# for 1e-280 and 1e280 not being exact powers of ten.
+_EXP_LO, _EXP_HI = -283, 283
+# What precedes a value's digits, by lead code: a marker for a value left to
+# _fmt, zero, the fixed-notation leads of 1e-4 <= v < 1 (code 1 - exponent),
+# "10", and a first digit d alone or with the point (code 5 + 2d, 6 + 2d).
+_LEADS = ("\x01", "0", "0.", "0.0", "0.00", "0.000", "10") + tuple(f"{d}{p}" for d in range(1, 10) for p in ("", "."))
+_SLOW, _ZERO, _TEN = 0, 1, 6
+
+
+@functools.cache
+def _format_tables():
+    """Lookup tables of the block formatter, built on first use.
+
+    ``scale[k - _EXP_LO]`` is 10**(11 - k) correctly rounded; ``full[g]`` and
+    ``strip[g]`` pack the 4 digits of g as little-endian uint32 ASCII, ``strip``
+    without trailing zeros; ``leads`` packs _LEADS and ``suffix[k - _EXP_LO]``
+    the exponent ("e-05", or nothing for fixed notation), each as uint64.
+    """
+    exps = range(_EXP_LO, _EXP_HI + 1)
+    scale = np.array([float(10 ** (11 - k)) if k <= 11 else 1 / 10 ** (k - 11) for k in exps])
+    places = np.array([1000, 100, 10, 1], dtype=np.uint16)
+    digits = (np.arange(10_000, dtype=np.uint16)[:, None] // places % 10).astype(np.uint8)
+    chars = digits + np.uint8(ord("0"))
+    kept = np.flip(np.logical_or.accumulate(np.flip(digits > 0, axis=1), axis=1), axis=1)
+    full = chars.view("<u4")[:, 0].copy()
+    strip = (chars * kept).view("<u4")[:, 0].copy()
+
+    def pack(texts):
+        return np.array([int.from_bytes(t.encode(), "little") for t in texts], dtype="<u8")
+
+    suffix = pack(f"e{k:+03d}" if k < -4 or k >= 12 else "" for k in exps)
+    tables = scale, full, strip, pack(_LEADS), suffix
+    for table in tables:
+        table.setflags(write=False)  # shared by every later call
+    return tables
+
+
+def _format_block(x, seps):
+    """The text of a block of float64 values, ``format(v, ".12g")`` each, value i followed by ``seps[i]``.
+
+    Positive values in [1e-280, 10) or [1e12, 1e280] and +0.0 are formatted
+    here: scaled to 12 digits before the point, rounded, and assembled from the
+    lookup tables into four 8-byte slots per value (lead, digits, digits,
+    exponent with the separator in its last byte), whose zero padding is then
+    dropped.  The scaled value is within 2.3e-4 of the exact one, so a value
+    whose scaled fraction lies within 1e-3 of one half, and every other value,
+    goes to ``_fmt``.
+    """
+    scale, full, strip, leads, suffix = _format_tables()
+    fast = (x >= 1e-280) & ((x < 10.0) | (x >= 1e12)) & (x <= 1e280)
+    safe = np.where(fast, x, 1.0)
+    k = np.floor(np.log10(safe)).astype(np.int64)
+    s = safe * scale[k - _EXP_LO]
+    k += (s >= 1e12).astype(np.int64) - (s < 1e11)  # log10 can miss a power of ten by one
+    s = safe * scale[k - _EXP_LO]
+    n = np.rint(s)
+    fast &= np.abs(s - np.floor(s) - 0.5) >= 1e-3
+    carry = n >= 1e12  # 9.99...95 rounds up to the next power of ten
+    k += carry
+    n = np.where(carry, 1e11, n).astype(np.int64)
+
+    head, rest = np.divmod(n, 10**11)
+    fixed_neg = (k < 0) & (k >= -4)
+    body = np.where(fixed_neg, n, rest * 10)
+    lead = np.where(fixed_neg, 1 - k, 5 + 2 * head + (rest != 0))
+    lead[k == 1] = _TEN  # a value below 10 that rounds up to 10
+    zero = (x == 0.0) & ~np.signbit(x)
+    lead = np.where(fast, lead, np.where(zero, _ZERO, _SLOW))
+    fast |= zero
+    body[~fast] = 0
+    k[~fast] = 0
+
+    g1, low = np.divmod(body, 10**8)
+    g2, g3 = np.divmod(low, 10**4)
+    out = np.zeros((x.size, 4), dtype="<u8")
+    out[:, 0] = leads[lead]
+    words = out.view("<u4")
+    words[:, 2] = np.where(low != 0, full[g1], strip[g1])
+    words[:, 3] = np.where(g3 != 0, full[g2], strip[g2])
+    words[:, 4] = strip[g3]
+    out[:, 3] = suffix[k - _EXP_LO] | seps
+    text = out.tobytes().translate(None, b"\0").decode("ascii")
+    if fast.all():
+        return text
+    pieces = text.split("\x01")
+    return "".join(p + _fmt(v) for p, v in zip(pieces, x[~fast])) + pieces[-1]
+
+
+def _write_table(table):
+    """Write a 2-D table's rows to stdout: values tab-separated, ``format(v, ".12g")`` each."""
+    table = np.asarray(table, dtype=np.float64)
+    rows, cols = table.shape
+    per_block = max(1, _BLOCK_VALUES // cols)
+    seps = np.full(cols * min(rows, per_block), ord("\t") << 56, dtype="<u8")
+    seps[cols - 1 :: cols] = ord("\n") << 56
+    for start in range(0, rows, per_block):
+        block = table[start : start + per_block].ravel()
+        sys.stdout.write(_format_block(block, seps[: block.size]))
+
+
 def _print_row(values):
-    print("\t".join(_fmt(v) for v in values))
+    _write_table(np.asarray(values, dtype=np.float64)[None, :])
 
 
 def _print_tables(tables):
     """Print each table's rows, with a blank line between tables."""
     for i, table in enumerate(tables):
         if i:
-            print()
-        for row in np.asarray(table):
-            _print_row(row)
+            sys.stdout.write("\n")
+        _write_table(table)
 
 
 def _load_obs_arg(value):
@@ -101,7 +205,13 @@ def _hmm_view(model, sequences):
 
 
 def _cmd_validate(args):
-    load_model(args.model)
+    model = load_model(args.model)
+    if isinstance(model, ChmmModel):
+        for chain in range(model.num_chains):
+            try:
+                _chain_conditional(model, chain)  # raises on a zero-mass coupling product
+            except SizeCapError as err:
+                print(f"warning: zero-mass coupling check skipped for chain {chain}: {err}", file=sys.stderr)
     return 0
 
 
@@ -172,7 +282,7 @@ def _cmd_decode(args):
     hmm_view, sequences = _hmm_view(load_model(args.model), _load_obs_arg(args.obs))
     for seq in sequences:
         result = viterbi(hmm_view, seq)
-        print("\t".join(str(int(s)) for s in result.path))
+        print("\t".join(map(str, result.path.tolist())))
         if args.score:
             print(_fmt(result.log_joint_score))
     return 0

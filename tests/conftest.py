@@ -1,3 +1,11 @@
+import os
+
+# BLAS runs on one thread, as in bench/run.py, so that a timing test measures
+# this process and not the load on the other cores.  Set before numpy's first
+# import, which is the one just below.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import numpy as np
 import pytest
 

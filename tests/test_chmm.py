@@ -339,7 +339,7 @@ def test_zero_mass_coupling_product_is_a_model_error(tmp_path, capsys):
         assert str(err.value) == message
     path = tmp_path / "zero_mass.json"
     save_model(m, path)
-    for argv in (["smooth", "--obs", "0,1 1,1"], ["sample", "--length", "5", "--seed", "0"]):
+    for argv in (["smooth", "--obs", "0,1 1,1"], ["sample", "--length", "5", "--seed", "0"], ["validate"]):
         assert main(argv + ["--model", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

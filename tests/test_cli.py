@@ -26,6 +26,19 @@ def test_validate_ok(model_file, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_validate_says_when_it_skips_an_oversized_chain_table(tmp_path, capsys):
+    # chain 0's parents are all 6 chains of 31 states: its table is 31**7 entries (220 GB)
+    parents = [tuple(range(6))] + [(l,) for l in range(1, 6)]
+    path = tmp_path / "big.json"
+    save_model(random_chmm([31] * 6, [2] * 6, np.random.default_rng(3), parents=parents), path)
+    assert main(["validate", "--model", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("warning: zero-mass coupling check skipped for chain 0: chain 0 transition table")
+
+
 def test_validate_bad_model(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"type": "hmm", "num_states": 1, "num_symbols": 1, "pi": [0.9], "A": [[1.0]], "B": [[1.0]]}')
