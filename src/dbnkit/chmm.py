@@ -81,9 +81,9 @@ def _joint_initial(model):
 
 
 def _evidence_table(model, obs):
-    """E[..., t, r]: probability of step t's per-chain symbols in joint state r, chain 0 first.
+    """E[t, ..., r]: probability of step t's per-chain symbols in joint state r, chain 0 first.
 
-    ``obs`` is one sequence ``[T, L]`` or a stack ``[B, T, L]``.
+    ``obs`` is one sequence ``[T, L]`` or a time-major stack ``[T, B, L]``.
     """
     E = None
     for l in range(model.num_chains):
@@ -109,7 +109,7 @@ def chmm_backward(model: ChmmModel, obs, scale_factors) -> np.ndarray:
     obs = validate_obs(model, obs)
     _, trans = _joint_chain(model)
     scale_factors = _checked_scale(scale_factors, obs.shape[0])
-    return _backward_stack(trans, _evidence_table(model, obs)[None], scale_factors[None])[0]
+    return _backward_stack(trans, _evidence_table(model, obs)[:, None], scale_factors[:, None])[:, 0]
 
 
 def chmm_likelihood(model: ChmmModel, obs) -> float:
@@ -170,7 +170,8 @@ def _chmm_e_step(model, sequences):
     per_sequence = _expectations(
         pi, trans, sequences, partial(_evidence_table, model),
         lambda obs, gamma, xi_sums, lls: [
-            (_chain_marginals(model, g), xi_sum, ll) for g, xi_sum, ll in zip(gamma, xi_sums, lls)
+            (_chain_marginals(model, g), xi_sum, ll)
+            for g, xi_sum, ll in zip(gamma.transpose(1, 0, 2), xi_sums, lls)
         ],
         trans.shape[0],
     )

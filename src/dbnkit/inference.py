@@ -5,13 +5,14 @@ log P(y_{1:T}) accumulates as sum(log c_t) without underflow.  The backward
 pass reuses the same factors, one step out of phase, which makes the
 smoothed posterior simply the elementwise product of the two scaled tables.
 
-The recursion is written once, over a stack of evidence tables
-``E[b, t, i]``, the probability of step t's observation of sequence b in
-state i; a single sequence is a stack of one.  HMMs and unrolled two-slice
-templates fill it from emission columns (``emit.T[obs]``); coupled HMMs
-(:mod:`dbnkit.chmm`) fill it from products of per-chain emission columns.
-Baum-Welch and coupled EM share its E-step, which stacks the sequences of
-each length and runs every table of a stack in the same step.
+The recursion is written once, over a time-major stack of evidence tables
+``E[t, b, i]``, the probability of step t's observation of sequence b in
+state i, so each step works on one contiguous block; a single sequence is a
+stack of one.  HMMs and unrolled two-slice templates fill it from emission
+columns (``emit.T[obs]``); coupled HMMs (:mod:`dbnkit.chmm`) fill it from
+products of per-chain emission columns.  Baum-Welch and coupled EM share its
+E-step, which stacks the sequences of each length and runs every table of a
+stack in the same step.
 """
 
 from __future__ import annotations
@@ -86,85 +87,86 @@ class PosteriorResult:
 
 
 def _forward_stack(pi, trans, E):
-    """Scaled forward recursion over every table of the stack ``E[B, T, n]`` at once.
+    """Scaled forward recursion over every table of the time-major stack ``E[T, B, n]`` at once.
 
-    Returns ``(alpha, scale, first)``.  ``first[b]`` is the first step at which
-    table b has zero mass, or T if it has none; such a table's later rows are
-    NaN and are not to be read, but the other tables run on.  Each row is
-    computed exactly as a one-table recursion would compute it: the step is
-    one vector-matrix product per table, ``(B, 1, n) @ (n, n)``, where a 2-D
-    ``(B, n) @ (n, n)`` would round differently.
+    Returns ``(alpha, scale, first)``, time-major.  ``first[b]`` is the first
+    step at which table b has zero mass, or T if it has none; such a table's
+    later rows are NaN and are not to be read, but the other tables run on.
+    Each row is computed exactly as a one-table recursion would compute it:
+    the step is one vector-matrix product per table, ``(B, 1, n) @ (n, n)``,
+    where a 2-D ``(B, n) @ (n, n)`` would round differently.
     """
-    B, T, n = E.shape
-    alpha = np.empty((B, T, 1, n))
-    scale = np.empty((B, T, 1, 1))
+    T, B, n = E.shape
+    alpha = np.empty((T, B, 1, n))
+    scale = np.empty((T, B, 1, 1))
     rows = E[:, :, None, :]
-    np.multiply(pi, rows[:, 0], out=alpha[:, 0])
+    np.multiply(pi, rows[0], out=alpha[0])
     # A zero-mass step divides 0 by 0; testing every step for it would cost
     # as much as the step's arithmetic at small n, so it is found afterwards.
     with np.errstate(invalid="ignore"):
         for t in range(T):
-            a = alpha[:, t]
+            a = alpha[t]
             if t > 0:
-                np.matmul(alpha[:, t - 1], trans, out=a)
-                a *= rows[:, t]
-            a /= a.sum(axis=2, keepdims=True, out=scale[:, t])
-    scale = scale.reshape(B, T)
+                np.matmul(alpha[t - 1], trans, out=a)
+                a *= rows[t]
+            a /= a.sum(axis=2, keepdims=True, out=scale[t])
+    scale = scale.reshape(T, B)
     zero = scale == 0.0
-    first = np.where(zero.any(axis=1), zero.argmax(axis=1), T)
-    return alpha.reshape(B, T, n), scale, first
+    first = np.where(zero.any(axis=0), zero.argmax(axis=0), T)
+    return alpha.reshape(T, B, n), scale, first
 
 
 def _backward_stack(trans, E, scale):
-    """Scaled backward recursion over the stack ``E[B, T, n]``, using the forward pass's factors.
+    """Scaled backward recursion over the time-major stack ``E[T, B, n]``, using the forward pass's factors.
 
-    Overwrites ``E[:, 1:]`` with the pairwise weights
-    ``w[:, t] = E[:, t+1] * beta[:, t+1] / c[:, t+1]``, so that
+    Overwrites ``E[1:]`` with the pairwise weights
+    ``w[t] = E[t+1] * beta[t+1] / c[t+1]``, so that
     xi_t = alpha[t][:, None] * trans * w[t] for each table.  The step is one
     matrix-vector product per table, ``(n, n) @ (B, n, 1)``.
     """
-    B, T, n = E.shape
-    beta = np.empty((B, T, n, 1))
-    beta[:, T - 1] = 1.0
+    T, B, n = E.shape
+    beta = np.empty((T, B, n, 1))
+    beta[T - 1] = 1.0
     cols = E[:, :, :, None]
     c = scale[:, :, None, None]
     for t in range(T - 2, -1, -1):
-        v = cols[:, t + 1]
-        v *= beta[:, t + 1]
-        np.matmul(trans, v, out=beta[:, t])
-        beta[:, t] /= c[:, t + 1]
-    # Table by table: numpy runs a 3-D broadcast division through buffers
-    # that add to the peak memory held by the stacks.
-    for e, s in zip(E, scale):
-        e[1:] /= s[1:, None]
-    return beta.reshape(B, T, n)
+        v = cols[t + 1]
+        v *= beta[t + 1]
+        np.matmul(trans, v, out=beta[t])
+        beta[t] /= c[t + 1]
+    E[1:] /= scale[1:, :, None]
+    return beta.reshape(T, B, n)
 
 
 def _posterior_stack(trans, E, alpha, scale):
     """Smoothed gamma and pairwise weights ``w`` of a forward pass over ``E``.
 
-    gamma is written over the backward table and ``w`` over ``E[:, 1:]``.
+    gamma is written over the backward table and ``w`` over ``E[1:]``.
     """
     gamma = _backward_stack(trans, E, scale)
     gamma *= alpha
-    for g in gamma:  # table by table, as in _backward_stack
-        g /= g.sum(axis=1, keepdims=True)
-    return gamma, E[:, 1:]
+    gamma /= gamma.sum(axis=2, keepdims=True)
+    return gamma, E[1:]
+
+
+def _sequence_log_likelihoods(scale):
+    """Per-table sums of log scale factors, each along a contiguous row, which numpy adds pairwise."""
+    return np.log(np.ascontiguousarray(scale.T)).sum(axis=1).tolist()
 
 
 def _forward_one(pi, trans, E) -> ForwardResult:
     """The forward pass over one evidence table ``E[T, n]``, as a stack of one."""
-    alpha, scale, first = _forward_stack(pi, trans, E[None])
+    alpha, scale, first = _forward_stack(pi, trans, E[:, None])
     if first[0] < E.shape[0]:
         raise ImpossibleObservationError(int(first[0]))
-    return ForwardResult(alpha[0], scale[0], float(np.log(scale[0]).sum()))
+    return ForwardResult(alpha[:, 0], scale[:, 0], _sequence_log_likelihoods(scale)[0])
 
 
 def _smooth_one(pi, trans, E):
     """Forward pass, gamma and pairwise weights over one evidence table, which it overwrites."""
     fwd = _forward_one(pi, trans, E)
-    gamma, w = _posterior_stack(trans, E[None], fwd.scaled_alpha[None], fwd.scale_factors[None])
-    return fwd, gamma[0], w[0]
+    gamma, w = _posterior_stack(trans, E[:, None], fwd.scaled_alpha[:, None], fwd.scale_factors[:, None])
+    return fwd, gamma[:, 0], w[:, 0]
 
 
 def _grouped(pi, trans, sequences, evidence, width, finish):
@@ -172,12 +174,13 @@ def _grouped(pi, trans, sequences, evidence, width, finish):
 
     A length-T group is cut into chunks of at most
     MAX_ARRAY_BYTES // (8 n max(T, width)) sequences, so that each of a
-    chunk's B x T x n tables and B x width x n statistics fits the byte
-    budget.  ``evidence(obs)`` maps a chunk's observations ``obs[B, T, ...]``
-    to its evidence stack ``E[B, T, n]``, and ``finish(obs, E, alpha, scale)``
-    returns one item per sequence of the chunk.  An impossible observation
-    stops no chunk's forward pass; once every chunk has run, the lowest-index
-    failing sequence is reported at its first impossible step.
+    chunk's T x B x n tables and B x width x n statistics fits the byte
+    budget.  ``evidence(obs)`` maps a chunk's time-major observations
+    ``obs[T, B, ...]`` to its evidence stack ``E[T, B, n]``, and ``finish(obs,
+    E, alpha, scale)`` returns one item per sequence of the chunk.  An
+    impossible observation stops no chunk's forward pass; once every chunk
+    has run, the lowest-index failing sequence is raised at its first
+    impossible step.
     """
     groups = {}
     for i, obs in enumerate(sequences):
@@ -188,7 +191,7 @@ def _grouped(pi, trans, sequences, evidence, width, finish):
         size = _rows_within_budget(trans.shape[0], max(T, width))
         for k in range(0, len(members), size):
             idx = members[k : k + size]
-            obs = np.stack([sequences[i] for i in idx])
+            obs = np.stack([sequences[i] for i in idx], axis=1)
             E = evidence(obs)
             alpha, scale, first = _forward_stack(pi, trans, E)
             bad = np.flatnonzero(first < T)
@@ -210,18 +213,20 @@ def _grouped(pi, trans, sequences, evidence, width, finish):
 def _expectations(pi, trans, sequences, evidence, summarize, width):
     """Yield each sequence's E-step statistics, in the order of ``sequences``.
 
-    Per chunk of equal-length sequences (see :func:`_grouped`), gamma, the
-    sums over t of xi_t and the log-likelihoods are computed for the whole
-    stack; ``summarize(obs, gamma, xi_sums, lls)`` reduces them to one item
-    per sequence, and ``width`` bounds its per-sequence arrays to
-    width x n entries.
+    Per chunk of equal-length sequences (see :func:`_grouped`), gamma
+    ``[T, B, n]``, the sums over t of xi_t ``[B, n, n]`` and the
+    log-likelihoods are computed for the whole stack; ``summarize(obs, gamma,
+    xi_sums, lls)`` reduces them to one item per sequence, and ``width``
+    bounds its per-sequence arrays to width x n entries.
     """
 
     def finish(obs, E, alpha, scale):
         gamma, w = _posterior_stack(trans, E, alpha, scale)
-        xi_sums = np.matmul(np.swapaxes(alpha[:, :-1], 1, 2), w)
+        # Strided views, which BLAS reads with a transpose flag as in a
+        # one-table product; a contiguous copy of alpha would round differently.
+        xi_sums = np.matmul(alpha[:-1].transpose(1, 2, 0), w.transpose(1, 0, 2))
         xi_sums *= trans
-        return summarize(obs, gamma, xi_sums, np.log(scale).sum(axis=1).tolist())
+        return summarize(obs, gamma, xi_sums, _sequence_log_likelihoods(scale))
 
     return _grouped(pi, trans, sequences, evidence, width, finish)
 
@@ -229,7 +234,7 @@ def _expectations(pi, trans, sequences, evidence, summarize, width):
 def _log_likelihoods(pi, trans, sequences, evidence):
     """Yield each sequence's log-likelihood, in order, from forward passes over length stacks."""
     return _grouped(
-        pi, trans, sequences, evidence, 0, lambda obs, E, alpha, scale: np.log(scale).sum(axis=1).tolist()
+        pi, trans, sequences, evidence, 0, lambda obs, E, alpha, scale: _sequence_log_likelihoods(scale)
     )
 
 
@@ -263,8 +268,8 @@ def backward(model: HmmModel, obs, scale_factors) -> BackwardResult:
     """
     obs = validate_obs(model, obs)
     scale_factors = _checked_scale(scale_factors, obs.shape[0])
-    E = model.emit.T[obs][None]
-    return BackwardResult(_backward_stack(model.trans, E, scale_factors[None])[0])
+    E = model.emit.T[obs][:, None]
+    return BackwardResult(_backward_stack(model.trans, E, scale_factors[:, None])[:, 0])
 
 
 def log_likelihood(model: HmmModel, obs) -> float:

@@ -9,6 +9,7 @@ nondecreasing up to roundoff.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,11 +42,17 @@ class EmConfig:
 
 @dataclass(frozen=True, eq=False)
 class EmTrace:
-    """Log-likelihood of the model at the start of each completed iteration."""
+    """Log-likelihood of the model at the start of each completed iteration, and the time EM took.
+
+    ``e_step_seconds`` has the wall time of each iteration's E-step, and ``m_step_seconds`` that of
+    each M-step taken: one fewer on convergence, which stops an iteration before its M-step.
+    """
 
     log_likelihoods: np.ndarray
     converged: bool
     iterations_run: int
+    e_step_seconds: tuple
+    m_step_seconds: tuple
 
     def __post_init__(self):
         lls = np.asarray(self.log_likelihoods, dtype=np.float64)
@@ -117,12 +124,14 @@ def _e_step(model, sequences):
     n, m = model.num_states, model.num_symbols
 
     def summarize(obs, gamma, xi_sums, lls):
-        # add.at applies the indices in order, so each sequence's counts
-        # are summed step by step, exactly as one sequence at a time.
-        B = obs.shape[0]
-        emis = np.zeros((B, m, n))
-        np.add.at(emis, (np.arange(B)[:, None], obs), gamma)
-        return zip(gamma[:, 0].copy(), xi_sums, emis, lls)
+        # bincount adds each bin's weights in time order, as one sequence at
+        # a time would; one call per state keeps its index at T x B entries.
+        B = obs.shape[1]
+        bins = (obs + m * np.arange(B)).ravel()
+        emis = np.empty((n, B * m))
+        for i in range(n):
+            emis[i] = np.bincount(bins, weights=gamma[:, :, i].ravel(), minlength=B * m)
+        return zip(gamma[0].copy(), xi_sums, emis.reshape(n, B, m).transpose(1, 0, 2), lls)
 
     stats = SufficientStats.zeros(n, m)
     total_ll = 0.0
@@ -133,7 +142,7 @@ def _e_step(model, sequences):
         total_ll += ll
         stats.expected_initial += gamma0
         stats.expected_transitions += xi_sum
-        stats.expected_emissions += emis.T
+        stats.expected_emissions += emis
     return stats, total_ll
 
 
@@ -176,13 +185,17 @@ def _run_em(init, sequences, config, e_step, m_step):
     if not sequences:
         raise ValueError("sequences must be nonempty")
     model = init
-    lls = []
+    lls, e_seconds, m_seconds = [], [], []
     converged = False
     for _ in range(config.max_iterations):
+        start = time.perf_counter()
         stats, total_ll = e_step(model, sequences)
+        e_seconds.append(time.perf_counter() - start)
         lls.append(total_ll)
         if len(lls) > 1 and abs(lls[-1] - lls[-2]) < config.rel_tolerance * (1.0 + abs(lls[-1])):
             converged = True
             break
+        start = time.perf_counter()
         model = m_step(model, stats, sequences, total_ll, config.pseudocount)
-    return model, EmTrace(np.array(lls), converged, len(lls))
+        m_seconds.append(time.perf_counter() - start)
+    return model, EmTrace(np.array(lls), converged, len(lls), tuple(e_seconds), tuple(m_seconds))

@@ -8,6 +8,8 @@ from dbnkit import (
     HmmModel,
     ImpossibleObservationError,
     baum_welch,
+    chmm_em,
+    hmm_to_chmm,
     mle_complete,
     random_hmm,
     sample,
@@ -150,3 +152,18 @@ def test_baum_welch_converges_flag():
     trained, trace = baum_welch(true, seqs, EmConfig(max_iterations=200, rel_tolerance=1e-4))
     assert trace.converged
     assert trace.iterations_run == trace.log_likelihoods.shape[0]
+
+
+@pytest.mark.parametrize("max_iterations,converged", [(200, True), (3, False)])
+def test_em_trace_times_every_e_step_and_m_step(max_iterations, converged):
+    true = HmmModel(pi=[0.6, 0.4], trans=[[0.9, 0.1], [0.15, 0.85]], emit=[[0.8, 0.2], [0.3, 0.7]])
+    seqs = [sample(true, 60, seed)[1] for seed in range(5)]
+    config = EmConfig(max_iterations=max_iterations, rel_tolerance=1e-4)
+    for run in (lambda: baum_welch(true, seqs, config),
+                lambda: chmm_em(hmm_to_chmm(true), [s[:, None] for s in seqs], config)):
+        _, trace = run()
+        assert trace.converged is converged
+        assert len(trace.e_step_seconds) == trace.iterations_run
+        # A converged run stops before the final iteration's M-step.
+        assert len(trace.m_step_seconds) == trace.iterations_run - converged
+        assert all(s >= 0.0 for s in trace.e_step_seconds + trace.m_step_seconds)

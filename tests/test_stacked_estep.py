@@ -5,6 +5,8 @@ stacked kernel replaced.  EM driven by either must agree bit for bit: same
 traces, same trained parameters, same error for an impossible observation.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from dbnkit import (
     random_hmm,
     sample,
 )
-from dbnkit import chmm, inference, models
+from dbnkit import chmm, inference, learning, models
 from dbnkit.chmm import _chain_marginals, _evidence_table, _joint_chain, _safeguarded_update
 from dbnkit.learning import SufficientStats, _m_step, _run_em
 
@@ -186,7 +188,7 @@ def test_a_group_split_by_the_byte_budget_changes_nothing(monkeypatch):
     kernel = inference._forward_stack
 
     def recording(pi, trans, E):
-        stacks.append(E.shape[:2])
+        stacks.append(E.shape[1::-1])  # (B, T) of a time-major stack
         return kernel(pi, trans, E)
 
     monkeypatch.setattr(inference, "_forward_stack", recording)
@@ -250,3 +252,66 @@ def test_impossible_observation_in_a_coupled_candidate_names_the_sequence():
     seqs = [np.zeros((3, 1), dtype=int), np.array([[0], [1]]), np.array([[0], [0], [1]])]
     with pytest.raises(ImpossibleObservationError, match="sequence 1: observation at time step 1 "):
         chmm._total_log_likelihood(model, seqs)
+
+
+@pytest.mark.parametrize("T", [1, 2, 50])
+@pytest.mark.parametrize("n", [1, 8, 81])
+@pytest.mark.parametrize("B", [1, 2, 20])
+def test_time_major_stack_matches_stacks_of_one(B, n, T):
+    rng = np.random.default_rng(1000 * B + 10 * n + T)
+    pi = rng.dirichlet(np.ones(n))
+    trans = rng.dirichlet(np.ones(n), size=n)
+    E = rng.random((T, B, n))
+
+    def one(stack, b):
+        return stack[:, b : b + 1].copy()
+
+    # One zero-mass table in the middle of the stack: its first impossible
+    # step is found along the time axis, and the other tables run on.
+    bad = B // 2
+    E_bad = E.copy()
+    E_bad[T // 2, bad] = 0.0
+    alpha, scale, first = inference._forward_stack(pi, trans, E_bad)
+    for b in range(B):
+        alpha_1, scale_1, first_1 = inference._forward_stack(pi, trans, one(E_bad, b))
+        assert np.array_equal(alpha[:, b], alpha_1[:, 0], equal_nan=True)
+        assert np.array_equal(scale[:, b], scale_1[:, 0], equal_nan=True)
+        assert first[b] == first_1[0] == (T // 2 if b == bad else T)
+
+    alpha, scale, first = inference._forward_stack(pi, trans, E)
+    assert np.array_equal(first, np.full(B, T))
+    E_w = E.copy()
+    beta = inference._backward_stack(trans, E_w, scale)
+    E_g = E.copy()
+    gamma, w = inference._posterior_stack(trans, E_g, alpha, scale)
+    lls = inference._sequence_log_likelihoods(scale)
+    for b in range(B):
+        ref_alpha, ref_scale, ref_ll = _ref_forward(pi, trans, E[:, b])
+        alpha_1, scale_1, _ = inference._forward_stack(pi, trans, one(E, b))
+        assert np.array_equal(alpha[:, b], alpha_1[:, 0]) and np.array_equal(alpha_1[:, 0], ref_alpha)
+        assert np.array_equal(scale[:, b], scale_1[:, 0]) and np.array_equal(scale_1[:, 0], ref_scale)
+        E_w1 = one(E, b)
+        assert np.array_equal(beta[:, b], inference._backward_stack(trans, E_w1, scale_1)[:, 0])
+        assert np.array_equal(E_w[1:, b], E_w1[1:, 0])
+        gamma_1, w_1 = inference._posterior_stack(trans, one(E, b), alpha_1, scale_1)
+        assert np.array_equal(gamma[:, b], gamma_1[:, 0])
+        assert np.array_equal(w[:, b], w_1[:, 0])
+        assert lls[b] == inference._sequence_log_likelihoods(scale_1)[0] == ref_ll
+
+
+def test_e_step_peak_memory_stays_within_four_stacks():
+    # The evidence (then pair weights), alpha and beta (then gamma) stacks
+    # are three T x B x n tables; the E-step's scratch must stay within one more.
+    B, T, n, m = 20, 200, 8, 6
+    rng = np.random.default_rng(7)
+    true = random_hmm(n, m, rng)
+    init = random_hmm(n, m, rng)
+    seqs = [sample(true, T, seed)[1] for seed in range(B)]
+    learning._e_step(init, seqs)
+    tracemalloc.start()
+    try:
+        learning._e_step(init, seqs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * B * T * n * 8
