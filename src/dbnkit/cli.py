@@ -18,10 +18,10 @@ import numpy as np
 from . import chmm as chmm_mod
 from . import inference, learning
 from .convert import flatten_chmm, flatten_obs, unroll_tbn
-from .decoding import viterbi
+from .decoding import _viterbi_paths
 from .errors import DbnError, SizeCapError
 from .io import format_obs, load_model, load_observations, parse_obs_line, save_model, save_observations
-from .models import ChmmModel, HmmModel, Tbn2Model, _chain_conditional
+from .models import ChmmModel, HmmModel, Tbn2Model, _chain_conditional, _validate_sequences
 from .oracle import run_equivalence_checks
 from .sampling import sample
 
@@ -189,19 +189,28 @@ def _as_joint_hmm(model):
     return unroll_tbn(model) if isinstance(model, Tbn2Model) else model
 
 
-def _per_sequence(model, chmm_fn, hmm_fn):
-    """``fn(seq)``: ``chmm_fn`` on a CHMM, else ``hmm_fn`` on the joint HMM, built once."""
+def _exact_view(model, obs_arg):
+    """``(pi, trans, sequences, evidence)`` for the stacked routes of :mod:`dbnkit.inference`.
+
+    The chain is built once: a CHMM's joint chain, or any other model's joint
+    HMM.  The ``--obs`` sequences are validated for the CHMM or the joint HMM.
+    """
+    model = _as_joint_hmm(model)
+    sequences = _validate_sequences(model, _load_obs_arg(obs_arg))
     if isinstance(model, ChmmModel):
-        return lambda seq: chmm_fn(model, seq)
-    hmm = _as_joint_hmm(model)
-    return lambda seq: hmm_fn(hmm, seq)
+        pi, trans = chmm_mod._joint_chain(model)
+        return pi, trans, sequences, functools.partial(chmm_mod._evidence_table, model)
+    emit_T = model.emit.T
+    return model.pi, model.trans, sequences, lambda obs: emit_T[obs]
 
 
-def _hmm_view(model, sequences):
-    """(plain HMM, sequences in its symbols) for any model; CHMMs are flattened."""
+def _hmm_view(model, obs_arg):
+    """(plain HMM, ``--obs`` sequences validated and in its symbols) for any model; CHMMs are flattened."""
+    model = _as_joint_hmm(model)
+    sequences = _validate_sequences(model, _load_obs_arg(obs_arg))
     if isinstance(model, ChmmModel):
         return flatten_chmm(model), [flatten_obs(model, s) for s in sequences]
-    return _as_joint_hmm(model), sequences
+    return model, sequences
 
 
 def _cmd_validate(args):
@@ -234,40 +243,30 @@ def _cmd_sample(args):
 
 
 def _cmd_likelihood(args):
-    model = load_model(args.model)
-    sequences = _load_obs_arg(args.obs)
-    likelihood = _per_sequence(model, chmm_mod.chmm_likelihood, inference.log_likelihood)
-    for seq in sequences:
-        print(_fmt(likelihood(seq)))
+    for ll in inference._log_likelihoods(*_exact_view(load_model(args.model), args.obs)):
+        print(_fmt(ll))
     return 0
 
 
 def _cmd_filter(args):
     model = load_model(args.model)
-    sequences = _load_obs_arg(args.obs)
-    if args.particles is not None:
-        hmm_view, sequences = _hmm_view(model, sequences)
-
-        def filtered(seq):
-            return inference.particle_filter(hmm_view, seq, args.particles, args.seed).estimates
-    else:
-        filtered = _per_sequence(
-            model, lambda m, seq: chmm_mod.chmm_forward(m, seq).scaled_alpha, inference.filter
-        )
-    _print_tables(filtered(seq) for seq in sequences)
+    if args.particles is None:
+        _print_tables(inference._filtered(*_exact_view(model, args.obs)))
+        return 0
+    hmm_view, sequences = _hmm_view(model, args.obs)
+    _print_tables(
+        inference.particle_filter(hmm_view, seq, args.particles, args.seed).estimates for seq in sequences
+    )
     return 0
 
 
 def _cmd_smooth(args):
-    model = load_model(args.model)
-    sequences = _load_obs_arg(args.obs)
-    posterior = _per_sequence(model, chmm_mod.chmm_smooth, inference.smooth)
-    _print_tables(posterior(seq).gamma for seq in sequences)
+    _print_tables(inference._smoothed(*_exact_view(load_model(args.model), args.obs)))
     return 0
 
 
 def _cmd_predict(args):
-    hmm_view, sequences = _hmm_view(load_model(args.model), _load_obs_arg(args.obs))
+    hmm_view, sequences = _hmm_view(load_model(args.model), args.obs)
     if args.observation and args.horizon != 1:
         raise _UsageError("--observation predicts one step ahead; --horizon must be 1")
     for seq in sequences:
@@ -279,9 +278,7 @@ def _cmd_predict(args):
 
 
 def _cmd_decode(args):
-    hmm_view, sequences = _hmm_view(load_model(args.model), _load_obs_arg(args.obs))
-    for seq in sequences:
-        result = viterbi(hmm_view, seq)
+    for result in _viterbi_paths(*_hmm_view(load_model(args.model), args.obs)):
         print("\t".join(map(str, result.path.tolist())))
         if args.score:
             print(_fmt(result.log_joint_score))
@@ -333,6 +330,7 @@ def _cmd_oracle_check(args):
     return 0 if ok else DATA_EXIT
 
 
+@functools.cache
 def _build_parser():
     parser = _Parser(prog="dbnkit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -2,7 +2,9 @@
 
 Scores are kept in log space throughout; probability-space recursions
 underflow for sequences of a few hundred steps.  Every max and argmax
-breaks ties toward the smallest state index.
+breaks ties toward the smallest state index.  Like the forward recursion,
+the recursion runs over a time-major stack of log evidence tables, and a
+single sequence is a stack of one.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ImpossibleObservationError
+from .inference import _in_length_stacks
 from .models import HmmModel, validate_obs
 
 
@@ -29,33 +32,71 @@ class DecodeResult:
         object.__setattr__(self, "log_joint_score", float(self.log_joint_score))
 
 
-def _viterbi_table(log_pi, log_trans, log_E) -> DecodeResult:
-    """Viterbi over unnormalized log parameters and ``log_E[t, i] = log P(y_t | x_t = i)``."""
-    T, n = log_E.shape
-    back = np.zeros((T, n), dtype=np.intp)
+def _viterbi_stack(log_pi, log_trans, log_E):
+    """Viterbi over every table of the time-major stack ``log_E[T, B, n]`` at once.
+
+    ``log_E[t, b, i]`` is log P(y_t | x_t = i) for sequence b; ``log_pi`` and
+    ``log_trans`` may be unnormalized.  Returns ``(paths, scores, first)``:
+    ``paths[b]`` is sequence b's best path, ``scores[b]`` its log joint score,
+    and ``first[b]`` the first step at which every score of b is -inf, or T
+    if there is none; such a sequence's path and score are not to be read,
+    but the other sequences run on.  Each sequence's scores are computed
+    exactly as a stack of one would compute them: a step is elementwise adds
+    and a first-max argmax per state.
+    """
+    T, B, n = log_E.shape
+    back = np.empty((T, B, n), dtype=np.intp)
+    dead = np.empty((T, B), dtype=bool)
     # into[j, i] = log_trans[i, j]: row j holds every way into state j, contiguously,
     # and cand is reused at every step; argmax keeps the first (smallest) predecessor.
     into = np.ascontiguousarray(log_trans.T)
-    cand = np.empty((n, n))
-    rows = np.arange(n)
+    cand = np.empty((B, n, n))
+    rows = np.arange(B * n).reshape(B, n) * n  # flat offset of cand[b, j, 0]
     score = log_pi + log_E[0]
-    if np.all(np.isneginf(score)):
-        raise ImpossibleObservationError(0)
+    np.isneginf(score).all(axis=1, out=dead[0])
     for t in range(1, T):
-        np.add(into, score, out=cand)
-        np.argmax(cand, axis=1, out=back[t])
-        score = cand[rows, back[t]] + log_E[t]
-        if np.all(np.isneginf(score)):
-            raise ImpossibleObservationError(t)
-    path = np.empty(T, dtype=np.int64)
-    path[T - 1] = int(np.argmax(score))
+        np.add(into, score[:, None, :], out=cand)
+        np.argmax(cand, axis=2, out=back[t])
+        score = cand.take(rows + back[t])
+        score += log_E[t]
+        np.isneginf(score).all(axis=1, out=dead[t])
+    first = np.where(dead.any(axis=0), dead.argmax(axis=0), T)
+    paths = np.empty((B, T), dtype=np.int64)
+    paths[:, T - 1] = np.argmax(score, axis=1)
+    starts = np.arange(B) * n
     for t in range(T - 1, 0, -1):
-        path[t - 1] = back[t, path[t]]
-    return DecodeResult(path, float(score[path[T - 1]]))
+        paths[:, t - 1] = back[t].take(starts + paths[:, t])
+    scores = score.take(starts + paths[:, T - 1])
+    return paths, scores, first
+
+
+def _log_tables(model):
+    """log pi, log trans and the transposed log emission matrix, whose row y is log P(y | x)."""
+    with np.errstate(divide="ignore"):
+        return np.log(model.pi), np.log(model.trans), np.log(model.emit).T
+
+
+def _viterbi_paths(model: HmmModel, sequences):
+    """Yield each validated sequence's DecodeResult, in order, from Viterbi over length stacks.
+
+    The log tables are built once; see :func:`dbnkit.inference._in_length_stacks`
+    for the chunks and for the error raised on an impossible observation.
+    """
+    log_pi, log_trans, log_emit = _log_tables(model)
+
+    def run(obs):
+        paths, scores, first = _viterbi_stack(log_pi, log_trans, log_emit[obs])
+        return first, lambda: map(DecodeResult, paths, scores)
+
+    n = model.num_states
+    return _in_length_stacks(sequences, n, n, run)
 
 
 def viterbi(model: HmmModel, obs) -> DecodeResult:
     """Most probable hidden state path for a full observation sequence."""
     obs = validate_obs(model, obs)
-    with np.errstate(divide="ignore"):
-        return _viterbi_table(np.log(model.pi), np.log(model.trans), np.log(model.emit).T[obs])
+    log_pi, log_trans, log_emit = _log_tables(model)
+    paths, scores, first = _viterbi_stack(log_pi, log_trans, log_emit[obs][:, None])
+    if first[0] < obs.shape[0]:
+        raise ImpossibleObservationError(int(first[0]))
+    return DecodeResult(paths[0], scores[0])

@@ -11,8 +11,9 @@ state i, so each step works on one contiguous block; a single sequence is a
 stack of one.  HMMs and unrolled two-slice templates fill it from emission
 columns (``emit.T[obs]``); coupled HMMs (:mod:`dbnkit.chmm`) fill it from
 products of per-chain emission columns.  Baum-Welch and coupled EM share its
-E-step, which stacks the sequences of each length and runs every table of a
-stack in the same step.
+E-step, and the CLI's multi-sequence queries share its log-likelihood,
+filtering and smoothing routes; each stacks the sequences of each length and
+runs every table of a stack in the same step.
 """
 
 from __future__ import annotations
@@ -169,18 +170,20 @@ def _smooth_one(pi, trans, E):
     return fwd, gamma[:, 0], w[:, 0]
 
 
-def _grouped(pi, trans, sequences, evidence, width, finish):
-    """Run the forward pass over stacks of equal-length sequences; yield per-sequence items in order.
+def _in_length_stacks(sequences, n, width, run):
+    """Run ``run`` over stacks of equal-length sequences; yield its per-sequence items in order.
 
     A length-T group is cut into chunks of at most
     MAX_ARRAY_BYTES // (8 n max(T, width)) sequences, so that each of a
-    chunk's T x B x n tables and B x width x n statistics fits the byte
-    budget.  ``evidence(obs)`` maps a chunk's time-major observations
-    ``obs[T, B, ...]`` to its evidence stack ``E[T, B, n]``, and ``finish(obs,
-    E, alpha, scale)`` returns one item per sequence of the chunk.  An
-    impossible observation stops no chunk's forward pass; once every chunk
-    has run, the lowest-index failing sequence is raised at its first
-    impossible step.
+    chunk's T x B x n tables and B x width x n arrays fits the byte budget.
+    ``run(obs)`` gets a chunk's time-major observations ``obs[T, B, ...]`` and
+    returns ``(first, finish)``: ``first[b]`` is the first impossible step of
+    sequence b, or T if it has none, and ``finish()`` returns one item per
+    sequence of the chunk.  Items are drawn from ``finish()`` one at a time,
+    each yielded as soon as every earlier sequence's item has been.  An
+    impossible observation stops no chunk's run, but no chunk is finished
+    after it; once every chunk has run, the lowest-index failing sequence is
+    raised at its first impossible step.
     """
     groups = {}
     for i, obs in enumerate(sequences):
@@ -188,18 +191,18 @@ def _grouped(pi, trans, sequences, evidence, width, finish):
     failure = None
     pending, nxt = {}, 0
     for T, members in groups.items():
-        size = _rows_within_budget(trans.shape[0], max(T, width))
+        size = _rows_within_budget(n, max(T, width))
         for k in range(0, len(members), size):
             idx = members[k : k + size]
-            obs = np.stack([sequences[i] for i in idx], axis=1)
-            E = evidence(obs)
-            alpha, scale, first = _forward_stack(pi, trans, E)
+            first, finish = run(np.stack([sequences[i] for i in idx], axis=1))
             bad = np.flatnonzero(first < T)
             if bad.size:
                 cand = (idx[bad[0]], int(first[bad[0]]))
                 failure = cand if failure is None else min(failure, cand)
-            if failure is None:
-                pending.update(zip(idx, finish(obs, E, alpha, scale)))
+            items = finish() if failure is None else ()
+            del finish  # from here on, only the items hold any of the chunk's arrays
+            for i, item in zip(idx, items):
+                pending[i] = item
                 while nxt in pending:
                     yield pending.pop(nxt)
                     nxt += 1
@@ -208,6 +211,22 @@ def _grouped(pi, trans, sequences, evidence, width, finish):
         raise ImpossibleObservationError(
             t, f"sequence {i}: observation at time step {t} is impossible under the current model"
         )
+
+
+def _grouped(pi, trans, sequences, evidence, width, finish):
+    """:func:`_in_length_stacks` over forward passes.
+
+    ``evidence(obs)`` maps a chunk's time-major observations ``obs[T, B, ...]``
+    to its evidence stack ``E[T, B, n]``, and ``finish(obs, E, alpha, scale)``
+    returns one item per sequence of the chunk.
+    """
+
+    def run(obs):
+        E = evidence(obs)
+        alpha, scale, first = _forward_stack(pi, trans, E)
+        return first, lambda: finish(obs, E, alpha, scale)
+
+    return _in_length_stacks(sequences, trans.shape[0], width, run)
 
 
 def _expectations(pi, trans, sequences, evidence, summarize, width):
@@ -235,6 +254,30 @@ def _log_likelihoods(pi, trans, sequences, evidence):
     """Yield each sequence's log-likelihood, in order, from forward passes over length stacks."""
     return _grouped(
         pi, trans, sequences, evidence, 0, lambda obs, E, alpha, scale: _sequence_log_likelihoods(scale)
+    )
+
+
+def _own_rows(stack):
+    """Each table ``[T, n]`` of a time-major stack ``[T, B, n]``, one at a time.
+
+    A table of a stack of one is a view, which holds only its own rows; any
+    other is copied, so that a table waiting to be read does not hold its
+    whole stack.
+    """
+    tables = stack.transpose(1, 0, 2)
+    return iter(tables) if tables.shape[0] == 1 else (t.copy() for t in tables)
+
+
+def _filtered(pi, trans, sequences, evidence):
+    """Yield each sequence's filtered table alpha ``[T, n]``, in order, from length-stacked forward passes."""
+    return _grouped(pi, trans, sequences, evidence, 0, lambda obs, E, alpha, scale: _own_rows(alpha))
+
+
+def _smoothed(pi, trans, sequences, evidence):
+    """Yield each sequence's smoothed table gamma ``[T, n]``, in order, from stacked forward-backward."""
+    return _grouped(
+        pi, trans, sequences, evidence, 0,
+        lambda obs, E, alpha, scale: _own_rows(_posterior_stack(trans, E, alpha, scale)[0]),
     )
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inference import _expectations
-from .models import HmmModel, validate_obs
+from .models import HmmModel, _validate_sequences
 
 
 @dataclass(frozen=True)
@@ -175,13 +175,14 @@ def baum_welch(init: HmmModel, sequences, config: EmConfig = EmConfig()):
 def _run_em(init, sequences, config, e_step, m_step):
     """The EM loop shared by every model type.
 
-    Validates each sequence once, then alternates ``e_step(model, sequences)``,
-    which returns (stats, total log-likelihood), with
+    Validates each sequence once, naming the sequence in any error, then
+    alternates ``e_step(model, sequences)``, which returns (stats, total
+    log-likelihood), with
     ``m_step(model, stats, sequences, total log-likelihood, pseudocount)``,
     which returns the next model, until the stopping rule in ``config``
     fires or the iteration cap is reached.  Returns (model, EmTrace).
     """
-    sequences = [validate_obs(init, s) for s in sequences]
+    sequences = _validate_sequences(init, sequences)
     if not sequences:
         raise ValueError("sequences must be nonempty")
     model = init

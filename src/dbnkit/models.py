@@ -417,6 +417,17 @@ def validate_obs(model, obs) -> np.ndarray:
     return arr
 
 
+def _validate_sequences(model, sequences) -> list:
+    """:func:`validate_obs` for each sequence; an error names the index of the sequence it is in."""
+    validated = []
+    for i, obs in enumerate(sequences):
+        try:
+            validated.append(validate_obs(model, obs))
+        except (ObservationError, SizeCapError) as err:
+            raise type(err)(f"sequence {i}: {err}") from err
+    return validated
+
+
 def _check_symbol_range(values, size, what):
     bad = np.nonzero((values < 0) | (values >= size))[0]
     if bad.size:

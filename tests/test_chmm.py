@@ -229,7 +229,7 @@ def test_em_validates_each_sequence_once(monkeypatch):
         calls.append(1)
         return validate_obs(model, obs)
 
-    for module in ("dbnkit.learning", "dbnkit.inference", "dbnkit.chmm"):
+    for module in ("dbnkit.models", "dbnkit.inference", "dbnkit.chmm"):
         monkeypatch.setattr(f"{module}.validate_obs", counting)
     rng = np.random.default_rng(28)
     config = EmConfig(max_iterations=4)

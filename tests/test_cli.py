@@ -332,3 +332,30 @@ def test_obs_file_and_inline_agree(model_file, tmp_path, capsys):
     from_file = capsys.readouterr().out
     main(["likelihood", "--model", model_file, "--obs", "0 1 0"])
     assert capsys.readouterr().out == from_file
+
+
+def test_consecutive_calls_share_the_parser_but_not_its_arguments(model_file, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    assert main(["filter", "--model", model_file, "--obs", "0 1 0"]) == 0
+    exact = capsys.readouterr().out
+    assert main(["filter", "--model", model_file, "--obs", "0 1 0", "--particles", "5"]) == 0
+    assert capsys.readouterr().out != exact
+    assert main(["filter", "--model", model_file, "--obs", "0 1 0"]) == 0
+    assert capsys.readouterr().out == exact
+    assert main(["filter", "--model", model_file, "--obs", "0 1 0", "--particles", "0"]) == 1
+    assert capsys.readouterr().err.startswith("usage error: argument --particles")
+    assert main(["filter", "--model", model_file]) == 1
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("command", ["likelihood", "filter", "smooth", "decode", "predict", "train"])
+def test_a_bad_symbol_error_names_its_sequence(model_file, tmp_path, capsys, command):
+    obs = tmp_path / "obs.txt"
+    obs.write_text("0 1\n1 0 0\n0 1 7 0\n1 1\n")
+    argv = [command, "--model", model_file, "--obs", str(obs)]
+    if command == "train":
+        argv += ["--out", str(tmp_path / "trained.json")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sequence 2: symbol 7 at step 2 outside valid range 0..1\n"

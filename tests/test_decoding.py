@@ -8,8 +8,16 @@ from dbnkit import (
     random_hmm,
     viterbi,
 )
-from dbnkit.decoding import DecodeResult, _viterbi_table
+from dbnkit.decoding import DecodeResult, _viterbi_stack
 from dbnkit.oracle import enum_likelihood, enum_map_path
+
+
+def _viterbi_one(log_pi, log_trans, log_E):
+    """``_viterbi_stack`` over the stack of one ``log_E[:, None]``, raising as ``viterbi`` does."""
+    paths, scores, first = _viterbi_stack(log_pi, log_trans, log_E[:, None])
+    if first[0] < log_E.shape[0]:
+        raise ImpossibleObservationError(int(first[0]))
+    return DecodeResult(paths[0], scores[0])
 
 
 def test_perfect_observability_decodes_observations():
@@ -67,10 +75,10 @@ def test_emission_column_shift_leaves_path_unchanged():
         log_pi = np.log(model.pi)
         log_trans = np.log(model.trans)
         log_emit = np.log(model.emit)
-    base = _viterbi_table(log_pi, log_trans, log_emit.T[obs])
+    base = _viterbi_one(log_pi, log_trans, log_emit.T[obs])
     shifted = log_emit.copy()
     shifted[:, 1] += 3.7
-    moved = _viterbi_table(log_pi, log_trans, shifted.T[obs])
+    moved = _viterbi_one(log_pi, log_trans, shifted.T[obs])
     assert np.array_equal(base.path, moved.path)
 
 
@@ -148,7 +156,38 @@ def test_viterbi_bit_identical_to_column_reference(n):
         with np.errstate(divide="ignore"):
             tables = (np.log(pi), np.log(trans), np.log(emit).T[rng.integers(0, 3, size=40)])
         expected = _outcome(_viterbi_by_columns, *tables)
-        assert _outcome(_viterbi_table, *tables) == expected
+        assert _outcome(_viterbi_one, *tables) == expected
         outcomes.add(expected[0])
     if n > 1:
         assert outcomes == {"path", "impossible"}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 81])
+@pytest.mark.parametrize("B", [1, 2, 20])
+def test_viterbi_stack_matches_column_reference_per_sequence(B, n):
+    rng = np.random.default_rng(100 * B + n)
+    T = 30
+    # Rounded parameters make exact ties between predecessors common.
+    pi = np.round(rng.dirichlet(np.ones(n)), 1)
+    trans = np.round(rng.dirichlet(np.ones(n), size=n), 1)
+    emit = np.round(rng.dirichlet(np.ones(3), size=n), 1)
+    if n > 1:
+        trans[:, 0] = 0.0  # state 0 is never entered after t = 0
+        emit[1:, 2] = 0.0  # symbol 2 only from state 0: impossible after t = 0
+    with np.errstate(divide="ignore"):
+        log_pi, log_trans, log_emit = np.log(pi), np.log(trans), np.log(emit).T
+    obs = rng.integers(0, 2, size=(T, B))
+    obs[T // 2, B // 2] = 2  # an impossible sequence in the middle of the stack
+    paths, scores, first = _viterbi_stack(log_pi, log_trans, log_emit[obs])
+    outcomes = []
+    for b in range(B):
+        expected = _outcome(_viterbi_by_columns, log_pi, log_trans, log_emit[obs[:, b]])
+        if expected[0] == "impossible":
+            assert first[b] == expected[1]
+        else:
+            assert first[b] == T
+            assert ("path", paths[b].tolist(), float(scores[b])) == expected
+        outcomes.append(expected[0])
+    if n > 1:
+        assert outcomes[B // 2] == "impossible"
+        assert B == 1 or "path" in outcomes
