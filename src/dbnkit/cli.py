@@ -4,6 +4,11 @@ Numeric output goes to stdout as tab-separated tables with 12 significant
 digits, rows in time order and columns in state order, so identical
 invocations are byte-identical and diffable.  Exit codes: 0 success,
 1 usage error, 2 data or model error.
+
+Every query but ``predict`` runs on a model's joint chain and evidence
+tables (a CHMM's from :mod:`dbnkit.chmm`, a 2TBN unrolled).  ``predict``
+flattens a CHMM: only the n x m joint emission of ``flatten_chmm`` holds
+the distribution over joint symbols that ``--observation`` prints.
 """
 
 from __future__ import annotations
@@ -189,11 +194,12 @@ def _as_joint_hmm(model):
     return unroll_tbn(model) if isinstance(model, Tbn2Model) else model
 
 
-def _exact_view(model, obs_arg):
-    """``(pi, trans, sequences, evidence)`` for the stacked routes of :mod:`dbnkit.inference`.
+def _joint_view(model, obs_arg):
+    """``(pi, trans, sequences, evidence)`` for the routes of every query but ``predict``.
 
     The chain is built once: a CHMM's joint chain, or any other model's joint
-    HMM.  The ``--obs`` sequences are validated for the CHMM or the joint HMM.
+    HMM.  The ``--obs`` sequences are validated for the CHMM or the joint HMM,
+    and ``evidence(obs)`` returns a new table at each call.
     """
     model = _as_joint_hmm(model)
     sequences = _validate_sequences(model, _load_obs_arg(obs_arg))
@@ -202,15 +208,6 @@ def _exact_view(model, obs_arg):
         return pi, trans, sequences, functools.partial(chmm_mod._evidence_table, model)
     emit_T = model.emit.T
     return model.pi, model.trans, sequences, lambda obs: emit_T[obs]
-
-
-def _hmm_view(model, obs_arg):
-    """(plain HMM, ``--obs`` sequences validated and in its symbols) for any model; CHMMs are flattened."""
-    model = _as_joint_hmm(model)
-    sequences = _validate_sequences(model, _load_obs_arg(obs_arg))
-    if isinstance(model, ChmmModel):
-        return flatten_chmm(model), [flatten_obs(model, s) for s in sequences]
-    return model, sequences
 
 
 def _cmd_validate(args):
@@ -243,42 +240,46 @@ def _cmd_sample(args):
 
 
 def _cmd_likelihood(args):
-    for ll in inference._log_likelihoods(*_exact_view(load_model(args.model), args.obs)):
+    for ll in inference._log_likelihoods(*_joint_view(load_model(args.model), args.obs)):
         print(_fmt(ll))
     return 0
 
 
 def _cmd_filter(args):
-    model = load_model(args.model)
+    pi, trans, sequences, evidence = _joint_view(load_model(args.model), args.obs)
     if args.particles is None:
-        _print_tables(inference._filtered(*_exact_view(model, args.obs)))
+        _print_tables(inference._filtered(pi, trans, sequences, evidence))
         return 0
-    hmm_view, sequences = _hmm_view(model, args.obs)
     _print_tables(
-        inference.particle_filter(hmm_view, seq, args.particles, args.seed).estimates for seq in sequences
+        inference._particle_filter(pi, trans, evidence(seq), args.particles, args.seed).estimates
+        for seq in sequences
     )
     return 0
 
 
 def _cmd_smooth(args):
-    _print_tables(inference._smoothed(*_exact_view(load_model(args.model), args.obs)))
+    _print_tables(inference._smoothed(*_joint_view(load_model(args.model), args.obs)))
     return 0
 
 
 def _cmd_predict(args):
-    hmm_view, sequences = _hmm_view(load_model(args.model), args.obs)
+    model = _as_joint_hmm(load_model(args.model))
+    sequences = _validate_sequences(model, _load_obs_arg(args.obs))
+    if isinstance(model, ChmmModel):
+        sequences = [flatten_obs(model, s) for s in sequences]
+        model = flatten_chmm(model)
     if args.observation and args.horizon != 1:
         raise _UsageError("--observation predicts one step ahead; --horizon must be 1")
     for seq in sequences:
         if args.observation:
-            _print_row(inference.predict_obs(hmm_view, seq))
+            _print_row(inference.predict_obs(model, seq))
         else:
-            _print_row(inference.predict_state(hmm_view, seq, args.horizon))
+            _print_row(inference.predict_state(model, seq, args.horizon))
     return 0
 
 
 def _cmd_decode(args):
-    for result in _viterbi_paths(*_hmm_view(load_model(args.model), args.obs)):
+    for result in _viterbi_paths(*_joint_view(load_model(args.model), args.obs)):
         print("\t".join(map(str, result.path.tolist())))
         if args.score:
             print(_fmt(result.log_joint_score))
@@ -295,23 +296,13 @@ def _em_config(args):
 
 def _cmd_train(args):
     model = load_model(args.model)
-    if not isinstance(model, HmmModel):
-        raise DbnError(
-            f"train expects an hmm initial model, got {type(model).__name__}; "
-            "use train-chmm for coupled models"
-        )
-    trained, trace = learning.baum_welch(model, _load_obs_arg(args.obs), _em_config(args))
-    for ll in trace.log_likelihoods:
-        print(_fmt(ll))
-    save_model(trained, args.out)
-    return 0
-
-
-def _cmd_train_chmm(args):
-    model = load_model(args.model)
-    if not isinstance(model, ChmmModel):
-        raise DbnError(f"train-chmm expects a chmm initial model, got {type(model).__name__}")
-    trained, trace = chmm_mod.chmm_em(model, _load_obs_arg(args.obs), _em_config(args))
+    coupled = args.command == "train-chmm"
+    if not isinstance(model, ChmmModel if coupled else HmmModel):
+        hint = "" if coupled else "; use train-chmm for coupled models"
+        kind = "a chmm" if coupled else "an hmm"
+        raise DbnError(f"{args.command} expects {kind} initial model, got {type(model).__name__}{hint}")
+    fit = chmm_mod.chmm_em if coupled else learning.baum_welch
+    trained, trace = fit(model, _load_obs_arg(args.obs), _em_config(args))
     for ll in trace.log_likelihoods:
         print(_fmt(ll))
     save_model(trained, args.out)
@@ -368,8 +359,8 @@ def _build_parser():
     p = add("decode", _cmd_decode, "most probable state path", obs=True)
     p.add_argument("--score", action="store_true", help="also print the log joint score")
 
-    for name, func in (("train", _cmd_train), ("train-chmm", _cmd_train_chmm)):
-        p = add(name, func, f"EM training ({name}); prints the log-likelihood trace", obs=True)
+    for name in ("train", "train-chmm"):
+        p = add(name, _cmd_train, f"EM training ({name}); prints the log-likelihood trace", obs=True)
         p.add_argument("--out", required=True, help="trained model file to write")
         p.add_argument("--max-iters", type=_positive_int, default=200)
         p.add_argument("--tol", type=_positive_float, default=1e-6)

@@ -4,7 +4,8 @@ Scores are kept in log space throughout; probability-space recursions
 underflow for sequences of a few hundred steps.  Every max and argmax
 breaks ties toward the smallest state index.  Like the forward recursion,
 the recursion runs over a time-major stack of log evidence tables, and a
-single sequence is a stack of one.
+single sequence is a stack of one.  The CLI decodes every model, a CHMM
+included, on the joint chain and evidence tables that inference runs on.
 """
 
 from __future__ import annotations
@@ -70,33 +71,33 @@ def _viterbi_stack(log_pi, log_trans, log_E):
     return paths, scores, first
 
 
-def _log_tables(model):
-    """log pi, log trans and the transposed log emission matrix, whose row y is log P(y | x)."""
-    with np.errstate(divide="ignore"):
-        return np.log(model.pi), np.log(model.trans), np.log(model.emit).T
-
-
-def _viterbi_paths(model: HmmModel, sequences):
+def _viterbi_paths(pi, trans, sequences, evidence):
     """Yield each validated sequence's DecodeResult, in order, from Viterbi over length stacks.
 
-    The log tables are built once; see :func:`dbnkit.inference._in_length_stacks`
+    ``evidence`` is :func:`dbnkit.inference._grouped`'s; each new stack it
+    returns is logged in place.  See :func:`dbnkit.inference._in_length_stacks`
     for the chunks and for the error raised on an impossible observation.
     """
-    log_pi, log_trans, log_emit = _log_tables(model)
+    with np.errstate(divide="ignore"):
+        log_pi, log_trans = np.log(pi), np.log(trans)
 
     def run(obs):
-        paths, scores, first = _viterbi_stack(log_pi, log_trans, log_emit[obs])
+        log_E = evidence(obs)
+        with np.errstate(divide="ignore"):
+            np.log(log_E, out=log_E)
+        paths, scores, first = _viterbi_stack(log_pi, log_trans, log_E)
         return first, lambda: map(DecodeResult, paths, scores)
 
-    n = model.num_states
+    n = trans.shape[0]
     return _in_length_stacks(sequences, n, n, run)
 
 
 def viterbi(model: HmmModel, obs) -> DecodeResult:
     """Most probable hidden state path for a full observation sequence."""
     obs = validate_obs(model, obs)
-    log_pi, log_trans, log_emit = _log_tables(model)
-    paths, scores, first = _viterbi_stack(log_pi, log_trans, log_emit[obs][:, None])
+    with np.errstate(divide="ignore"):
+        log_pi, log_trans, log_E = np.log(model.pi), np.log(model.trans), np.log(model.emit.T[obs][:, None])
+    paths, scores, first = _viterbi_stack(log_pi, log_trans, log_E)
     if first[0] < obs.shape[0]:
         raise ImpossibleObservationError(int(first[0]))
     return DecodeResult(paths[0], scores[0])

@@ -414,12 +414,44 @@ def _systematic_resample(weights, rng):
     return np.minimum(idx, K - 1)
 
 
+def _particle_filter(pi, trans, E, num_particles, seed, resample_threshold=0.5) -> ParticleFilterResult:
+    """:func:`particle_filter` on the chain ``(pi, trans)``, weighing step t's particles by row ``E[t]``."""
+    K = int(num_particles)
+    if K < 1:
+        raise ValueError(f"num_particles must be >= 1, got {K}")
+    _check_array_bytes("particle ensemble", K)
+    if not 0.0 <= resample_threshold <= 1.0:
+        raise ValueError(f"resample_threshold must be in [0, 1], got {resample_threshold}")
+    rng = np.random.default_rng(seed)
+    T, n = E.shape
+    table, P = _lifting_table(np.cumsum(trans, axis=1))
+
+    estimates = np.empty((T, n))
+    ess = np.empty(T)
+    resampled = np.zeros(T, dtype=bool)
+
+    x = np.minimum(np.searchsorted(np.cumsum(pi), rng.random(K), side="right"), n - 1)
+    w = E[0][x]
+    for t in range(T):
+        if t > 0:
+            if ess[t - 1] < resample_threshold * K:
+                keep = _systematic_resample(w, rng)
+                x = x[keep]
+                w = np.full(K, 1.0 / K)
+                resampled[t] = True
+            x = _propagate(table, P, x, rng.random(K))
+            w = w * E[t][x]
+        total = w.sum()
+        if total == 0.0:
+            raise DegenerateWeightsError(t)
+        w = w / total
+        estimates[t] = np.bincount(x, weights=w, minlength=n)
+        ess[t] = 1.0 / np.sum(w * w)
+    return ParticleFilterResult(estimates, ess, resampled, x, w)
+
+
 def particle_filter(
-    model: HmmModel,
-    obs,
-    num_particles: int,
-    seed: int,
-    resample_threshold: float = 0.5,
+    model: HmmModel, obs, num_particles: int, seed: int, resample_threshold: float = 0.5
 ) -> ParticleFilterResult:
     """Bootstrap particle filter with systematic resampling.
 
@@ -435,37 +467,4 @@ def particle_filter(
     probability at some step.
     """
     obs = validate_obs(model, obs)
-    K = int(num_particles)
-    if K < 1:
-        raise ValueError(f"num_particles must be >= 1, got {K}")
-    _check_array_bytes("particle ensemble", K)
-    if not 0.0 <= resample_threshold <= 1.0:
-        raise ValueError(f"resample_threshold must be in [0, 1], got {resample_threshold}")
-    rng = np.random.default_rng(seed)
-    T = obs.shape[0]
-    n = model.num_states
-    table, P = _lifting_table(np.cumsum(model.trans, axis=1))
-
-    estimates = np.empty((T, n))
-    ess = np.empty(T)
-    resampled = np.zeros(T, dtype=bool)
-
-    pi_cum = np.cumsum(model.pi)
-    x = np.minimum(np.searchsorted(pi_cum, rng.random(K), side="right"), n - 1)
-    w = model.emit[x, obs[0]].copy()
-    for t in range(T):
-        if t > 0:
-            if ess[t - 1] < resample_threshold * K:
-                keep = _systematic_resample(w, rng)
-                x = x[keep]
-                w = np.full(K, 1.0 / K)
-                resampled[t] = True
-            x = _propagate(table, P, x, rng.random(K))
-            w = w * model.emit[x, obs[t]]
-        total = w.sum()
-        if total == 0.0:
-            raise DegenerateWeightsError(t)
-        w = w / total
-        estimates[t] = np.bincount(x, weights=w, minlength=n)
-        ess[t] = 1.0 / np.sum(w * w)
-    return ParticleFilterResult(estimates, ess, resampled, x, w)
+    return _particle_filter(model.pi, model.trans, model.emit.T[obs], num_particles, seed, resample_threshold)

@@ -247,7 +247,17 @@ def test_pipeline_sample_train_likelihood(model_file, tmp_path, capsys):
 def test_train_rejects_chmm(chmm_file, tmp_path, capsys):
     out = tmp_path / "out.json"
     assert main(["train", "--model", chmm_file, "--obs", "0,1 1,0", "--out", str(out)]) == 2
-    assert "train-chmm" in capsys.readouterr().err
+    assert capsys.readouterr() == (
+        "", "error: train expects an hmm initial model, got ChmmModel; use train-chmm for coupled models\n"
+    )
+    assert not out.exists()
+
+
+def test_train_chmm_rejects_hmm(model_file, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert main(["train-chmm", "--model", model_file, "--obs", "0 1 0", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: train-chmm expects a chmm initial model, got HmmModel\n")
+    assert not out.exists()
 
 
 def test_train_chmm_pipeline(chmm_file, tmp_path, capsys):

@@ -4,6 +4,9 @@
 sequences by length and run each group as one stack.  Their stdout must be
 byte for byte the text of the per-sequence library results, whatever the
 grouping, the order of the lengths or the byte budget's chunking.
+``filter --particles`` runs one sequence at a time.  Every query but
+``predict`` runs on a CHMM's joint chain, and its reference is the library
+on the flattened model, so the two routes check each other.
 """
 
 import tracemalloc
@@ -17,11 +20,13 @@ from dbnkit import (
     chmm_forward,
     chmm_likelihood,
     chmm_smooth,
+    SizeCapError,
     decoding,
     flatten_chmm,
     flatten_obs,
     inference,
     models,
+    particle_filter,
     random_chmm,
     random_hmm,
     sample,
@@ -34,6 +39,9 @@ from dbnkit.cli import main
 
 # Interleaved lengths: T = 1 twice, a length that occurs once, lengths that recur.
 LENGTHS = [7, 1, 12, 7, 3, 12, 1, 7]
+PARTICLES, SEED = 500, 3
+# Each query's options after --model and --obs.
+FLAGS = {"decode": ["--score"], "filter --particles": ["--particles", str(PARTICLES), "--seed", str(SEED)]}
 
 
 def _tbn(rng):
@@ -61,6 +69,7 @@ def _problem(kind, seed=0):
             "filter": lambda s: chmm_forward(model, s).scaled_alpha,
             "smooth": lambda s: chmm_smooth(model, s).gamma,
             "decode": lambda s: viterbi(flat, flatten_obs(model, s)),
+            "filter --particles": lambda s: particle_filter(flat, flatten_obs(model, s), PARTICLES, SEED).estimates,
         }
         return model, seqs, queries
     model = random_hmm(4, 3, rng) if kind == "hmm" else _tbn(rng)
@@ -71,6 +80,7 @@ def _problem(kind, seed=0):
         "filter": lambda s: inference.filter(hmm, s),
         "smooth": lambda s: inference.smooth(hmm, s).gamma,
         "decode": lambda s: viterbi(hmm, s),
+        "filter --particles": lambda s: particle_filter(hmm, s, PARTICLES, SEED).estimates,
     }
     return model, seqs, queries
 
@@ -96,8 +106,8 @@ def _files(tmp_path, model, seqs):
     return str(model_path), str(obs_path)
 
 
-def _argv(command, model_path, obs_path):
-    return [command, "--model", model_path, "--obs", obs_path] + (["--score"] if command == "decode" else [])
+def _argv(query, model_path, obs_path):
+    return [query.split()[0], "--model", model_path, "--obs", obs_path] + FLAGS.get(query, [])
 
 
 @pytest.mark.parametrize("kind", ["hmm", "chmm", "tbn2"])
@@ -109,6 +119,53 @@ def test_cli_queries_print_the_per_sequence_library_results(kind, tmp_path, caps
         captured = capsys.readouterr()
         assert captured.err == ""
         assert captured.out == _text(command, [query(s) for s in seqs]), command
+
+
+class _Flattened(Exception):
+    pass
+
+
+def test_only_predict_flattens_a_chmm(tmp_path, monkeypatch, capsys):
+    model, seqs, queries = _problem("chmm")
+    model_path, obs_path = _files(tmp_path, model, seqs)
+
+    def refuse(*args):
+        raise _Flattened
+
+    monkeypatch.setattr("dbnkit.cli.flatten_chmm", refuse)
+    monkeypatch.setattr("dbnkit.cli.flatten_obs", refuse)
+    for query, reference in queries.items():
+        assert main(_argv(query, model_path, obs_path)) == 0
+        assert capsys.readouterr().out == _text(query, [reference(s) for s in seqs]), query
+    with pytest.raises(_Flattened):
+        main(["predict", "--model", model_path, "--obs", obs_path])
+
+
+def test_a_joint_emission_over_the_budget_refuses_only_predict(tmp_path, monkeypatch, capsys):
+    # 2 chains of 2 states and 30 symbols each: the flattened emission is 4 x 900
+    # (28,800 bytes), while the joint chain and every evidence table fit 10,000.
+    model = random_chmm([2, 2], [30, 30], np.random.default_rng(2))
+    seqs = [sample(model, T, 20 + i)[1] for i, T in enumerate([9, 4, 9])]
+    model_path, obs_path = _files(tmp_path, model, seqs)
+    flat = flatten_chmm(model)
+    expected = {
+        "decode": _text("decode", [viterbi(flat, flatten_obs(model, s)) for s in seqs]),
+        "filter --particles": _text(
+            "filter --particles",
+            [particle_filter(flat, flatten_obs(model, s), PARTICLES, SEED).estimates for s in seqs],
+        ),
+    }
+    monkeypatch.setattr(models, "MAX_ARRAY_BYTES", 10_000)
+    with pytest.raises(SizeCapError):
+        flatten_chmm(model)
+    for query, text in expected.items():
+        assert main(_argv(query, model_path, obs_path)) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (text, ""), query
+    assert main(["predict", "--model", model_path, "--obs", obs_path, "--observation"]) == 2
+    assert capsys.readouterr().err == (
+        "error: joint emission (4 x 900) needs 28800 bytes, over the budget of 10000\n"
+    )
 
 
 def test_a_budget_split_decode_and_smooth_changes_nothing(tmp_path, monkeypatch, capsys):
