@@ -9,7 +9,7 @@ joint transition broadcasts each chain's conditional table
 destination axis and multiplies the chains in; ``convert.flatten_chmm``
 gathers the same tables by joint-state digits instead, so the two routes
 stay structurally separate and can cross-validate each other.  The CLI runs
-every query but ``predict`` on this joint chain and evidence table.
+every query on this joint chain and evidence table.
 """
 
 from __future__ import annotations

@@ -5,16 +5,17 @@ digits, rows in time order and columns in state order, so identical
 invocations are byte-identical and diffable.  Exit codes: 0 success,
 1 usage error, 2 data or model error.
 
-Every query but ``predict`` runs on a model's joint chain and evidence
-tables (a CHMM's from :mod:`dbnkit.chmm`, a 2TBN unrolled).  ``predict``
-flattens a CHMM: only the n x m joint emission of ``flatten_chmm`` holds
-the distribution over joint symbols that ``--observation`` prints.
+Every query runs on a model's joint chain and evidence tables (a CHMM's
+from :mod:`dbnkit.chmm`, a 2TBN unrolled); the CLI never flattens a CHMM.
+``predict --observation`` on a CHMM builds the n x m joint emission from
+the evidence of every joint symbol.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 
@@ -22,11 +23,11 @@ import numpy as np
 
 from . import chmm as chmm_mod
 from . import inference, learning
-from .convert import flatten_chmm, flatten_obs, unroll_tbn
+from .convert import unroll_tbn
 from .decoding import _viterbi_paths
-from .errors import DbnError, SizeCapError
+from .errors import DbnError, DegenerateWeightsError, SizeCapError
 from .io import format_obs, load_model, load_observations, parse_obs_line, save_model, save_observations
-from .models import ChmmModel, HmmModel, Tbn2Model, _chain_conditional, _validate_sequences
+from .models import ChmmModel, HmmModel, Tbn2Model, _chain_conditional, _check_array_bytes, _validate_sequences
 from .oracle import run_equivalence_checks
 from .sampling import sample
 
@@ -195,7 +196,7 @@ def _as_joint_hmm(model):
 
 
 def _joint_view(model, obs_arg):
-    """``(pi, trans, sequences, evidence)`` for the routes of every query but ``predict``.
+    """``(pi, trans, sequences, evidence)`` for the routes of every query.
 
     The chain is built once: a CHMM's joint chain, or any other model's joint
     HMM.  The ``--obs`` sequences are validated for the CHMM or the joint HMM,
@@ -250,10 +251,16 @@ def _cmd_filter(args):
     if args.particles is None:
         _print_tables(inference._filtered(pi, trans, sequences, evidence))
         return 0
-    _print_tables(
-        inference._particle_filter(pi, trans, evidence(seq), args.particles, args.seed).estimates
-        for seq in sequences
-    )
+
+    def estimates():
+        for i, seq in enumerate(sequences):
+            try:
+                result = inference._particle_filter(pi, trans, evidence(seq), args.particles, args.seed)
+            except DegenerateWeightsError as err:
+                raise DegenerateWeightsError(err.t, f"sequence {i}: {err}") from err
+            yield result.estimates
+
+    _print_tables(estimates())
     return 0
 
 
@@ -263,18 +270,20 @@ def _cmd_smooth(args):
 
 
 def _cmd_predict(args):
-    model = _as_joint_hmm(load_model(args.model))
-    sequences = _validate_sequences(model, _load_obs_arg(args.obs))
-    if isinstance(model, ChmmModel):
-        sequences = [flatten_obs(model, s) for s in sequences]
-        model = flatten_chmm(model)
     if args.observation and args.horizon != 1:
         raise _UsageError("--observation predicts one step ahead; --horizon must be 1")
-    for seq in sequences:
-        if args.observation:
-            _print_row(inference.predict_obs(model, seq))
-        else:
-            _print_row(inference.predict_state(model, seq, args.horizon))
+    model = _as_joint_hmm(load_model(args.model))
+    pi, trans, sequences, evidence = _joint_view(model, args.obs)
+    if args.observation and isinstance(model, ChmmModel):
+        # Column s of the n x m joint emission is the evidence of joint symbol s.
+        symbols = model.symbols_per_chain
+        _check_array_bytes("joint emission", len(pi), math.prod(symbols))
+        emit = np.ascontiguousarray(evidence(np.indices(symbols).reshape(len(symbols), -1).T).T)
+    elif args.observation:
+        emit = model.emit
+    for p in inference._grouped(pi, trans, sequences, evidence, 0, lambda obs, E, alpha, scale: alpha[-1].copy()):
+        p = inference._pushed(p, trans, args.horizon)
+        _print_row(p @ emit if args.observation else p)
     return 0
 
 

@@ -4,8 +4,8 @@ Joint indices are row-major over the component order (component 0 varies
 slowest), for both states and symbols.  These conversions exist partly as a
 second, structurally different route to the same distributions: flattening
 a coupled model and running plain HMM inference must agree with the direct
-coupled recursions to near machine precision.  The CLI flattens a coupled
-model only for ``predict``, whose ``--observation`` needs the joint emission.
+coupled recursions to near machine precision.  The CLI never flattens a
+coupled model: ``flatten_chmm`` is only that reference route.
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ stack of one.  HMMs and unrolled two-slice templates fill it from emission
 columns (``emit.T[obs]``); coupled HMMs (:mod:`dbnkit.chmm`) fill it from
 products of per-chain emission columns.  Baum-Welch and coupled EM share its
 E-step, and the CLI's multi-sequence queries share its log-likelihood,
-filtering and smoothing routes; each stacks the sequences of each length and
-runs every table of a stack in the same step.
+filtering, smoothing and prediction routes; each stacks the sequences of each
+length and runs every table of a stack in the same step.
 """
 
 from __future__ import annotations
@@ -341,9 +341,13 @@ def predict_state(model: HmmModel, obs, horizon: int = 1) -> np.ndarray:
     horizon = int(horizon)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    p = forward(model, obs).scaled_alpha[-1]
+    return _pushed(forward(model, obs).scaled_alpha[-1], model.trans, horizon)
+
+
+def _pushed(p, trans, horizon):
+    """The state distribution ``p`` pushed ``horizon`` times through ``trans``, then normalized."""
     for _ in range(horizon):
-        p = p @ model.trans
+        p = p @ trans
     return p / p.sum()
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dbnkit import cli, load_model, random_chmm, save_model, unroll_tbn
+from dbnkit import HmmModel, cli, load_model, random_chmm, save_model, unroll_tbn
 from dbnkit.cli import main
 
 
@@ -206,7 +206,22 @@ def test_predict_state_and_observation(model_file, capsys):
     assert main(["predict", "--model", model_file, "--obs", "0 1 0", "--observation"]) == 0
     row = list(map(float, capsys.readouterr().out.split("\t")))
     assert sum(row) == pytest.approx(1.0, abs=1e-9)
-    assert main(["predict", "--model", model_file, "--obs", "0 1 0", "--observation", "--horizon", "2"]) == 1
+    # A usage error, reported before any file is read.
+    for model in (model_file, "/nonexistent/model.json"):
+        assert main(["predict", "--model", model, "--obs", "0 1 0", "--observation", "--horizon", "2"]) == 1
+        assert capsys.readouterr().err == "usage error: --observation predicts one step ahead; --horizon must be 1\n"
+
+
+def test_a_degenerate_particle_ensemble_names_its_sequence(tmp_path, capsys):
+    # The chain stays in state 0, which emits only symbol 0, so every particle
+    # has zero weight at the first 1: step 2 of sequence 1.
+    model_path, obs_path = tmp_path / "model.json", tmp_path / "obs.txt"
+    save_model(HmmModel(pi=[1.0, 0.0], trans=np.eye(2), emit=np.eye(2)), model_path)
+    obs_path.write_text("0 0 0\n0 0 1\n0 1\n")
+    assert main(["filter", "--model", str(model_path), "--obs", str(obs_path), "--particles", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "1\t0\n" * 3  # sequence 0's table
+    assert captured.err == "error: sequence 1: all particle weights are zero at time step 2\n"
 
 
 def test_sample_writes_files(model_file, tmp_path, capsys):
@@ -313,7 +328,7 @@ def test_tbn2_commands(tbn_file, tmp_path, capsys):
     assert main(["likelihood", "--model", tbn_file, "--obs", str(obs_path)]) == 0
 
 
-@pytest.mark.parametrize("command", ["likelihood", "smooth", "filter"])
+@pytest.mark.parametrize("command", ["likelihood", "smooth", "filter", "predict"])
 def test_tbn2_unrolled_once_per_command(tbn_file, tmp_path, monkeypatch, capsys, command):
     obs_path = tmp_path / "obs.txt"
     obs_path.write_text("0 0 1\n1 1\n0 1 1 0\n")
@@ -326,7 +341,7 @@ def test_tbn2_unrolled_once_per_command(tbn_file, tmp_path, monkeypatch, capsys,
     monkeypatch.setattr(cli, "unroll_tbn", counting_unroll)
     assert main([command, "--model", tbn_file, "--obs", str(obs_path)]) == 0
     assert len(calls) == 1
-    assert capsys.readouterr().out.count("\n\n") == (0 if command == "likelihood" else 2)
+    assert capsys.readouterr().out.count("\n\n") == (2 if command in ("smooth", "filter") else 0)
 
 
 def test_oracle_check_passes(capsys):

@@ -1,14 +1,16 @@
 """The CLI's multi-sequence queries, run over length stacks, against per-sequence library calls.
 
-``likelihood``, ``filter``, ``smooth`` and ``decode`` group a file's
-sequences by length and run each group as one stack.  Their stdout must be
-byte for byte the text of the per-sequence library results, whatever the
-grouping, the order of the lengths or the byte budget's chunking.
-``filter --particles`` runs one sequence at a time.  Every query but
-``predict`` runs on a CHMM's joint chain, and its reference is the library
-on the flattened model, so the two routes check each other.
+``likelihood``, ``filter``, ``smooth``, ``predict`` and ``decode`` group a
+file's sequences by length and run each group as one stack.  Their stdout
+must be byte for byte the text of the per-sequence library results, whatever
+the grouping, the order of the lengths or the byte budget's chunking.
+``filter --particles`` runs one sequence at a time.  Every query runs on a
+CHMM's joint chain, never on its flattening; the references of ``decode``,
+``filter --particles`` and ``predict`` are the library on the flattened
+model, so the two routes check each other.
 """
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -20,6 +22,7 @@ from dbnkit import (
     chmm_forward,
     chmm_likelihood,
     chmm_smooth,
+    cli,
     SizeCapError,
     decoding,
     flatten_chmm,
@@ -40,7 +43,7 @@ from dbnkit.cli import main
 # Interleaved lengths: T = 1 twice, a length that occurs once, lengths that recur.
 LENGTHS = [7, 1, 12, 7, 3, 12, 1, 7]
 PARTICLES, SEED = 500, 3
-# Each query's options after --model and --obs.
+# The options after --model and --obs of a query that does not spell them out.
 FLAGS = {"decode": ["--score"], "filter --particles": ["--particles", str(PARTICLES), "--seed", str(SEED)]}
 
 
@@ -70,6 +73,9 @@ def _problem(kind, seed=0):
             "smooth": lambda s: chmm_smooth(model, s).gamma,
             "decode": lambda s: viterbi(flat, flatten_obs(model, s)),
             "filter --particles": lambda s: particle_filter(flat, flatten_obs(model, s), PARTICLES, SEED).estimates,
+            "predict": lambda s: inference.predict_state(flat, flatten_obs(model, s)),
+            "predict --horizon 3": lambda s: inference.predict_state(flat, flatten_obs(model, s), 3),
+            "predict --observation": lambda s: inference.predict_obs(flat, flatten_obs(model, s)),
         }
         return model, seqs, queries
     model = random_hmm(4, 3, rng) if kind == "hmm" else _tbn(rng)
@@ -81,6 +87,9 @@ def _problem(kind, seed=0):
         "smooth": lambda s: inference.smooth(hmm, s).gamma,
         "decode": lambda s: viterbi(hmm, s),
         "filter --particles": lambda s: particle_filter(hmm, s, PARTICLES, SEED).estimates,
+        "predict": lambda s: inference.predict_state(hmm, s),
+        "predict --horizon 3": lambda s: inference.predict_state(hmm, s, 3),
+        "predict --observation": lambda s: inference.predict_obs(hmm, s),
     }
     return model, seqs, queries
 
@@ -91,6 +100,8 @@ def _text(command, results):
 
     if command == "likelihood":
         return "".join(format(float(ll), ".12g") + "\n" for ll in results)
+    if command.startswith("predict"):  # one row per sequence
+        return table(results)
     if command == "decode":
         return "".join(
             "\t".join(map(str, r.path.tolist())) + "\n" + format(r.log_joint_score, ".12g") + "\n"
@@ -107,7 +118,8 @@ def _files(tmp_path, model, seqs):
 
 
 def _argv(query, model_path, obs_path):
-    return [query.split()[0], "--model", model_path, "--obs", obs_path] + FLAGS.get(query, [])
+    command, *options = query.split()
+    return [command, "--model", model_path, "--obs", obs_path] + FLAGS.get(query, options)
 
 
 @pytest.mark.parametrize("kind", ["hmm", "chmm", "tbn2"])
@@ -125,20 +137,20 @@ class _Flattened(Exception):
     pass
 
 
-def test_only_predict_flattens_a_chmm(tmp_path, monkeypatch, capsys):
+def test_no_query_flattens_a_chmm(tmp_path, monkeypatch, capsys):
     model, seqs, queries = _problem("chmm")
     model_path, obs_path = _files(tmp_path, model, seqs)
+    expected = {query: _text(query, [reference(s) for s in seqs]) for query, reference in queries.items()}
 
     def refuse(*args):
         raise _Flattened
 
-    monkeypatch.setattr("dbnkit.cli.flatten_chmm", refuse)
-    monkeypatch.setattr("dbnkit.cli.flatten_obs", refuse)
-    for query, reference in queries.items():
+    monkeypatch.setattr("dbnkit.convert.flatten_chmm", refuse)
+    monkeypatch.setattr("dbnkit.convert.flatten_obs", refuse)
+    assert not {"flatten_chmm", "flatten_obs"} & set(vars(cli))
+    for query, text in expected.items():
         assert main(_argv(query, model_path, obs_path)) == 0
-        assert capsys.readouterr().out == _text(query, [reference(s) for s in seqs]), query
-    with pytest.raises(_Flattened):
-        main(["predict", "--model", model_path, "--obs", obs_path])
+        assert capsys.readouterr().out == text, query
 
 
 def test_a_joint_emission_over_the_budget_refuses_only_predict(tmp_path, monkeypatch, capsys):
@@ -153,6 +165,10 @@ def test_a_joint_emission_over_the_budget_refuses_only_predict(tmp_path, monkeyp
         "filter --particles": _text(
             "filter --particles",
             [particle_filter(flat, flatten_obs(model, s), PARTICLES, SEED).estimates for s in seqs],
+        ),
+        "predict": _text("predict", [inference.predict_state(flat, flatten_obs(model, s)) for s in seqs]),
+        "predict --horizon 2": _text(
+            "predict", [inference.predict_state(flat, flatten_obs(model, s), 2) for s in seqs]
         ),
     }
     monkeypatch.setattr(models, "MAX_ARRAY_BYTES", 10_000)
@@ -206,7 +222,9 @@ def test_a_budget_split_decode_and_smooth_changes_nothing(tmp_path, monkeypatch,
                 assert len(chunks) > 1
 
 
-@pytest.mark.parametrize("command", ["likelihood", "filter", "smooth", "decode"])
+@pytest.mark.parametrize(
+    "command", ["likelihood", "filter", "smooth", "decode", "predict", "predict --observation"]
+)
 def test_an_impossible_observation_names_the_lowest_failing_sequence(command, tmp_path, capsys):
     # Symbol 2 has probability zero in every state.  Sequence 3 fails at step 1,
     # and sequence 1, shorter and in another length group, fails at step 2.
@@ -221,6 +239,29 @@ def test_an_impossible_observation_names_the_lowest_failing_sequence(command, tm
     assert capsys.readouterr().err == (
         "error: sequence 1: observation at time step 2 is impossible under the current model\n"
     )
+
+
+@pytest.mark.parametrize("kind", ["hmm", "chmm"])
+def test_every_obs_command_validates_each_sequence_once(kind, tmp_path, monkeypatch, capsys):
+    model, seqs, queries = _problem(kind)
+    model_path, obs_path = _files(tmp_path, model, seqs)
+    validate_obs = models.validate_obs
+    calls = []
+
+    def counting(model, obs):
+        calls.append(len(obs))
+        return validate_obs(model, obs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "dbnkit" and getattr(module, "validate_obs", None) is validate_obs:
+            monkeypatch.setattr(module, "validate_obs", counting)
+    train = ["train-chmm" if kind == "chmm" else "train", "--model", model_path, "--obs", obs_path]
+    train += ["--out", str(tmp_path / "trained.json"), "--max-iters", "2"]
+    for argv in [_argv(query, model_path, obs_path) for query in queries] + [train]:
+        calls.clear()
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert calls == LENGTHS, argv  # each sequence once, in file order
 
 
 def test_stacked_smooth_peak_memory_stays_within_four_stacks():
