@@ -178,10 +178,12 @@ def _print_row(values):
 
 def _print_tables(tables):
     """Print each table's rows, with a blank line between tables."""
-    for i, table in enumerate(tables):
-        if i:
-            sys.stdout.write("\n")
+    sep = ""
+    for table in tables:
+        sys.stdout.write(sep)
         _write_table(table)
+        sep = "\n"
+        del table  # a table may pin its stack, which must go before the next stack is made
 
 
 def _load_obs_arg(value):
@@ -281,7 +283,7 @@ def _cmd_predict(args):
         emit = np.ascontiguousarray(evidence(np.indices(symbols).reshape(len(symbols), -1).T).T)
     elif args.observation:
         emit = model.emit
-    for p in inference._grouped(pi, trans, sequences, evidence, 0, lambda obs, E, alpha, scale: alpha[-1].copy()):
+    for p in inference._grouped(pi, trans, sequences, evidence, 0, lambda obs, E, alpha, scale: alpha[-1]):
         p = inference._pushed(p, trans, args.horizon)
         _print_row(p @ emit if args.observation else p)
     return 0

@@ -5,7 +5,8 @@ underflow for sequences of a few hundred steps.  Every max and argmax
 breaks ties toward the smallest state index.  Like the forward recursion,
 the recursion runs over a time-major stack of log evidence tables, and a
 single sequence is a stack of one.  The CLI decodes every model, a CHMM
-included, on the joint chain and evidence tables that inference runs on.
+included, on the joint chain and evidence tables that inference runs on,
+in the same stacks (see :func:`dbnkit.inference._in_length_stacks`).
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def _viterbi_paths(pi, trans, sequences, evidence):
 
     ``evidence`` is :func:`dbnkit.inference._grouped`'s; each new stack it
     returns is logged in place.  See :func:`dbnkit.inference._in_length_stacks`
-    for the chunks and for the error raised on an impossible observation.
+    for the stacks and for the error raised on an impossible observation.
     """
     with np.errstate(divide="ignore"):
         log_pi, log_trans = np.log(pi), np.log(trans)

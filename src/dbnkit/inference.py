@@ -12,8 +12,9 @@ stack of one.  HMMs and unrolled two-slice templates fill it from emission
 columns (``emit.T[obs]``); coupled HMMs (:mod:`dbnkit.chmm`) fill it from
 products of per-chain emission columns.  Baum-Welch and coupled EM share its
 E-step, and the CLI's multi-sequence queries share its log-likelihood,
-filtering, smoothing and prediction routes; each stacks the sequences of each
-length and runs every table of a stack in the same step.
+filtering, smoothing and prediction routes, which stack the sequences of each
+length within consecutive windows of a file that fit the byte budget, and run
+every table of a stack in the same step.
 """
 
 from __future__ import annotations
@@ -170,55 +171,67 @@ def _smooth_one(pi, trans, E):
     return fwd, gamma[:, 0], w[:, 0]
 
 
+def _budget_windows(sequences, cap, width):
+    """Cut ``sequences``, in order, into lists of at most ``cap`` columns, or of one sequence.
+
+    A length-T sequence takes max(T, width) columns.
+    """
+    window, cols = [], 0
+    for obs in sequences:
+        cols += max(len(obs), width)
+        if window and cols > cap:
+            yield window
+            window, cols = [], max(len(obs), width)
+        window.append(obs)
+    if window:
+        yield window
+
+
 def _in_length_stacks(sequences, n, width, run):
     """Run ``run`` over stacks of equal-length sequences; yield its per-sequence items in order.
 
-    A length-T group is cut into chunks of at most
-    MAX_ARRAY_BYTES // (8 n max(T, width)) sequences, so that each of a
-    chunk's T x B x n tables and B x width x n arrays fits the byte budget.
-    ``run(obs)`` gets a chunk's time-major observations ``obs[T, B, ...]`` and
-    returns ``(first, finish)``: ``first[b]`` is the first impossible step of
-    sequence b, or T if it has none, and ``finish()`` returns one item per
-    sequence of the chunk.  Items are drawn from ``finish()`` one at a time,
-    each yielded as soon as every earlier sequence's item has been.  An
-    impossible observation stops no chunk's run, but no chunk is finished
-    after it; once every chunk has run, the lowest-index failing sequence is
-    raised at its first impossible step.
+    The sequences are cut, in order, into windows of at most
+    MAX_ARRAY_BYTES // (8 n) columns, a length-T sequence taking
+    max(T, width), and the sequences of each length in a window form a stack,
+    so that a window's T x B x n tables and B x width x n arrays fit the
+    budget together.  ``run(obs)`` gets a stack's time-major observations
+    ``obs[T, B, ...]`` and returns ``(first, finish)``: ``first[b]`` is the
+    first impossible step of sequence b, or T if it has none, and
+    ``finish()`` returns one item per sequence of the stack.  A window's
+    items are yielded, and let go, before the next window runs, so a reader
+    that drops each item holds arrays bounded by the budget.  The first
+    window with an impossible sequence raises for its lowest-index one, at
+    its first impossible step, and no later window runs.
     """
-    groups = {}
-    for i, obs in enumerate(sequences):
-        groups.setdefault(obs.shape[0], []).append(i)
-    failure = None
-    pending, nxt = {}, 0
-    for T, members in groups.items():
-        size = _rows_within_budget(n, max(T, width))
-        for k in range(0, len(members), size):
-            idx = members[k : k + size]
-            first, finish = run(np.stack([sequences[i] for i in idx], axis=1))
+    start = 0
+    for window in _budget_windows(sequences, _rows_within_budget(n), width):
+        groups, items, failure = {}, {}, None
+        for i, obs in enumerate(window):
+            groups.setdefault(len(obs), []).append(i)
+        for T, idx in groups.items():
+            first, finish = run(np.stack([window[i] for i in idx], axis=1))
             bad = np.flatnonzero(first < T)
             if bad.size:
-                cand = (idx[bad[0]], int(first[bad[0]]))
+                cand = (start + idx[bad[0]], int(first[bad[0]]))
                 failure = cand if failure is None else min(failure, cand)
-            items = finish() if failure is None else ()
-            del finish  # from here on, only the items hold any of the chunk's arrays
-            for i, item in zip(idx, items):
-                pending[i] = item
-                while nxt in pending:
-                    yield pending.pop(nxt)
-                    nxt += 1
-    if failure is not None:
-        i, t = failure
-        raise ImpossibleObservationError(
-            t, f"sequence {i}: observation at time step {t} is impossible under the current model"
-        )
+            elif failure is None:
+                items.update(zip(idx, finish()))
+            del finish  # from here on, only the items hold any of the stack's arrays
+        if failure is not None:
+            i, t = failure
+            raise ImpossibleObservationError(
+                t, f"sequence {i}: observation at time step {t} is impossible under the current model"
+            )
+        yield from map(items.pop, range(len(window)))
+        start += len(window)
 
 
 def _grouped(pi, trans, sequences, evidence, width, finish):
     """:func:`_in_length_stacks` over forward passes.
 
-    ``evidence(obs)`` maps a chunk's time-major observations ``obs[T, B, ...]``
+    ``evidence(obs)`` maps a stack's time-major observations ``obs[T, B, ...]``
     to its evidence stack ``E[T, B, n]``, and ``finish(obs, E, alpha, scale)``
-    returns one item per sequence of the chunk.
+    returns one item per sequence of the stack.
     """
 
     def run(obs):
@@ -232,8 +245,8 @@ def _grouped(pi, trans, sequences, evidence, width, finish):
 def _expectations(pi, trans, sequences, evidence, summarize, width):
     """Yield each sequence's E-step statistics, in the order of ``sequences``.
 
-    Per chunk of equal-length sequences (see :func:`_grouped`), gamma
-    ``[T, B, n]``, the sums over t of xi_t ``[B, n, n]`` and the
+    Per stack of equal-length sequences (see :func:`_in_length_stacks`),
+    gamma ``[T, B, n]``, the sums over t of xi_t ``[B, n, n]`` and the
     log-likelihoods are computed for the whole stack; ``summarize(obs, gamma,
     xi_sums, lls)`` reduces them to one item per sequence, and ``width``
     bounds its per-sequence arrays to width x n entries.
@@ -257,27 +270,16 @@ def _log_likelihoods(pi, trans, sequences, evidence):
     )
 
 
-def _own_rows(stack):
-    """Each table ``[T, n]`` of a time-major stack ``[T, B, n]``, one at a time.
-
-    A table of a stack of one is a view, which holds only its own rows; any
-    other is copied, so that a table waiting to be read does not hold its
-    whole stack.
-    """
-    tables = stack.transpose(1, 0, 2)
-    return iter(tables) if tables.shape[0] == 1 else (t.copy() for t in tables)
-
-
 def _filtered(pi, trans, sequences, evidence):
     """Yield each sequence's filtered table alpha ``[T, n]``, in order, from length-stacked forward passes."""
-    return _grouped(pi, trans, sequences, evidence, 0, lambda obs, E, alpha, scale: _own_rows(alpha))
+    return _grouped(pi, trans, sequences, evidence, 0, lambda obs, E, alpha, scale: alpha.transpose(1, 0, 2))
 
 
 def _smoothed(pi, trans, sequences, evidence):
     """Yield each sequence's smoothed table gamma ``[T, n]``, in order, from stacked forward-backward."""
     return _grouped(
         pi, trans, sequences, evidence, 0,
-        lambda obs, E, alpha, scale: _own_rows(_posterior_stack(trans, E, alpha, scale)[0]),
+        lambda obs, E, alpha, scale: _posterior_stack(trans, E, alpha, scale)[0].transpose(1, 0, 2),
     )
 
 

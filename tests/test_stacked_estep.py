@@ -121,6 +121,19 @@ def _ref_chmm_em(init, sequences, config, monkeypatch):
         return _run_em(init, sequences, config, _ref_chmm_e_step, _safeguarded_update)
 
 
+def _record_stacks(monkeypatch):
+    """A list to which every later forward stack appends its (B, T)."""
+    stacks = []
+    kernel = inference._forward_stack
+
+    def recording(pi, trans, E):
+        stacks.append(E.shape[1::-1])  # (B, T) of a time-major stack
+        return kernel(pi, trans, E)
+
+    monkeypatch.setattr(inference, "_forward_stack", recording)
+    return stacks
+
+
 def _hmm_problem(seed, n=4, m=3):
     rng = np.random.default_rng(seed)
     true = random_hmm(n, m, rng)
@@ -156,17 +169,21 @@ def _assert_same_chmm_run(a, b):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("n,m", [(4, 3), (8, 6)])
-def test_baum_welch_bit_identical_to_per_sequence_reference(seed, n, m):
+def test_baum_welch_bit_identical_to_per_sequence_reference(seed, n, m, monkeypatch):
     init, seqs = _hmm_problem(seed, n, m)
     config = EmConfig(max_iterations=15)
+    stacks = _record_stacks(monkeypatch)
     _assert_same_hmm_run(baum_welch(init, seqs, config), _ref_baum_welch(init, seqs, config))
+    assert max(B for B, T in stacks) >= 3
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_chmm_em_bit_identical_to_per_sequence_reference(seed, monkeypatch):
     init, seqs = _chmm_problem(seed)
     config = EmConfig(max_iterations=10)
+    stacks = _record_stacks(monkeypatch)
     _assert_same_chmm_run(chmm_em(init, seqs, config), _ref_chmm_em(init, seqs, config, monkeypatch))
+    assert max(B for B, T in stacks) >= 3
 
 
 def test_total_log_likelihood_is_the_per_sequence_sum():
@@ -184,22 +201,17 @@ def test_a_group_split_by_the_byte_budget_changes_nothing(monkeypatch):
     config = EmConfig(max_iterations=8)
     whole = baum_welch(hmm_init, hmm_seqs, config), chmm_em(chmm_init, chmm_seqs, config)
 
-    stacks = []
-    kernel = inference._forward_stack
-
-    def recording(pi, trans, E):
-        stacks.append(E.shape[1::-1])  # (B, T) of a time-major stack
-        return kernel(pi, trans, E)
-
-    monkeypatch.setattr(inference, "_forward_stack", recording)
+    stacks = _record_stacks(monkeypatch)
     # The smallest budget that admits the longest sequence's table: the
-    # groups of length 7 and 12 then need more than one chunk each.
+    # sequences of length 7 and 12 then need more than one stack each.
     split = []
     for run, n in ((lambda: baum_welch(hmm_init, hmm_seqs, config), 4),
                    (lambda: chmm_em(chmm_init, chmm_seqs, config), 12)):
         stacks.clear()
-        monkeypatch.setattr(models, "MAX_ARRAY_BYTES", 8 * n * max(LENGTHS))
+        budget = 8 * n * max(LENGTHS)
+        monkeypatch.setattr(models, "MAX_ARRAY_BYTES", budget)
         split.append(run())
+        assert all(8 * B * T * n <= budget for B, T in stacks)
         largest = {}
         for B, T in stacks:
             largest[T] = max(largest.get(T, 0), B)

@@ -1,9 +1,10 @@
 """The CLI's multi-sequence queries, run over length stacks, against per-sequence library calls.
 
-``likelihood``, ``filter``, ``smooth``, ``predict`` and ``decode`` group a
-file's sequences by length and run each group as one stack.  Their stdout
+``likelihood``, ``filter``, ``smooth``, ``predict`` and ``decode`` cut a
+file, in order, into windows whose tables fit the byte budget together, and
+run the sequences of each length in a window as one stack.  Their stdout
 must be byte for byte the text of the per-sequence library results, whatever
-the grouping, the order of the lengths or the byte budget's chunking.
+the grouping, the order of the lengths or the byte budget's windows.
 ``filter --particles`` runs one sequence at a time.  Every query runs on a
 CHMM's joint chain, never on its flattening; the references of ``decode``,
 ``filter --particles`` and ``predict`` are the library on the flattened
@@ -28,6 +29,7 @@ from dbnkit import (
     flatten_chmm,
     flatten_obs,
     inference,
+    learning,
     models,
     particle_filter,
     random_chmm,
@@ -81,7 +83,11 @@ def _problem(kind, seed=0):
     model = random_hmm(4, 3, rng) if kind == "hmm" else _tbn(rng)
     hmm = model if kind == "hmm" else unroll_tbn(model)
     seqs = [sample(hmm, T, 10 + i)[1] for i, T in enumerate(LENGTHS)]
-    queries = {
+    return model, seqs, _hmm_queries(hmm)
+
+
+def _hmm_queries(hmm):
+    return {
         "likelihood": lambda s: inference.log_likelihood(hmm, s),
         "filter": lambda s: inference.filter(hmm, s),
         "smooth": lambda s: inference.smooth(hmm, s).gamma,
@@ -91,7 +97,6 @@ def _problem(kind, seed=0):
         "predict --horizon 3": lambda s: inference.predict_state(hmm, s, 3),
         "predict --observation": lambda s: inference.predict_obs(hmm, s),
     }
-    return model, seqs, queries
 
 
 def _text(command, results):
@@ -122,15 +127,79 @@ def _argv(query, model_path, obs_path):
     return [command, "--model", model_path, "--obs", obs_path] + FLAGS.get(query, options)
 
 
+def _record_stacks(monkeypatch):
+    """A list to which every later forward or Viterbi stack appends its (B, T)."""
+    stacks = []
+
+    def recording(kernel):
+        def record(*args):
+            stacks.append(args[-1].shape[1::-1])  # (B, T) of a time-major stack
+            return kernel(*args)
+
+        return record
+
+    monkeypatch.setattr(inference, "_forward_stack", recording(inference._forward_stack))
+    monkeypatch.setattr(decoding, "_viterbi_stack", recording(decoding._viterbi_stack))
+    return stacks
+
+
 @pytest.mark.parametrize("kind", ["hmm", "chmm", "tbn2"])
-def test_cli_queries_print_the_per_sequence_library_results(kind, tmp_path, capsys):
+def test_cli_queries_print_the_per_sequence_library_results(kind, tmp_path, monkeypatch, capsys):
     model, seqs, queries = _problem(kind)
     model_path, obs_path = _files(tmp_path, model, seqs)
-    for command, query in queries.items():
+    expected = {command: _text(command, [query(s) for s in seqs]) for command, query in queries.items()}
+    stacks = _record_stacks(monkeypatch)
+    for command, text in expected.items():
         assert main(_argv(command, model_path, obs_path)) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
-        assert captured.out == _text(command, [query(s) for s in seqs]), command
+        assert captured.out == text, command
+    assert max(B for B, T in stacks) >= 3
+
+
+@pytest.mark.parametrize(
+    "columns, expected",
+    [
+        # The whole file fits: one stack per length, across its runs.
+        (None, [(3, 7), (1, 1), (3, 12)]),
+        # Windows of at most 30 columns (n = 4 states): [7, 7, 1, 12],
+        # [12, 12] and [7], whatever the route's width, which is at most 4.
+        (30, [(2, 7), (1, 1), (1, 12), (2, 12), (1, 7)]),
+    ],
+)
+def test_stacks_group_each_length_within_budget_windows_in_file_order(
+    columns, expected, tmp_path, monkeypatch, capsys
+):
+    model = random_hmm(4, 3, np.random.default_rng(4))
+    seqs = [sample(model, T, 30 + i)[1] for i, T in enumerate([7, 7, 1, 12, 12, 12, 7])]
+    model_path, obs_path = _files(tmp_path, model, seqs)
+    if columns:
+        monkeypatch.setattr(models, "MAX_ARRAY_BYTES", 8 * 4 * columns)
+    stacks = _record_stacks(monkeypatch)
+    for query in ("likelihood", "filter", "smooth", "predict", "decode"):
+        stacks.clear()
+        assert main(_argv(query, model_path, obs_path)) == 0
+        capsys.readouterr()
+        assert stacks == expected, query
+    stacks.clear()
+    learning._e_step(model, seqs)
+    assert stacks == expected
+
+
+def test_a_window_counts_a_sequence_as_at_least_its_route_width(tmp_path, monkeypatch, capsys):
+    # Viterbi's B x n x n buffer: decode counts each length-1 sequence as
+    # n = 4 columns, so that windows of 8 columns hold two of them, while
+    # the forward routes fit all five into one.
+    model = random_hmm(4, 3, np.random.default_rng(4))
+    seqs = [sample(model, 1, 40 + i)[1] for i in range(5)]
+    model_path, obs_path = _files(tmp_path, model, seqs)
+    monkeypatch.setattr(models, "MAX_ARRAY_BYTES", 8 * 4 * 8)
+    stacks = _record_stacks(monkeypatch)
+    for query, expected in (("likelihood", [(5, 1)]), ("decode", [(2, 1), (2, 1), (1, 1)])):
+        stacks.clear()
+        assert main(_argv(query, model_path, obs_path)) == 0
+        capsys.readouterr()
+        assert stacks == expected, query
 
 
 class _Flattened(Exception):
@@ -192,19 +261,9 @@ def test_a_budget_split_decode_and_smooth_changes_nothing(tmp_path, monkeypatch,
         assert main(_argv(command, model_path, obs_path)) == 0
         whole[command] = capsys.readouterr().out
 
-    stacks = []
-
-    def recording(kernel):
-        def record(*args):
-            stacks.append(args[-1].shape[1::-1])  # (B, T) of a time-major stack
-            return kernel(*args)
-
-        return record
-
-    monkeypatch.setattr(inference, "_forward_stack", recording(inference._forward_stack))
-    monkeypatch.setattr(decoding, "_viterbi_stack", recording(decoding._viterbi_stack))
+    stacks = _record_stacks(monkeypatch)
     # The smallest budget that admits the longest sequence's table (n = 12
-    # joint states): the groups of length 7 and 12 then need more than one chunk.
+    # joint states): the sequences of length 7 and 12 then need more than one stack.
     n = 12
     budget = 8 * n * max(LENGTHS)
     monkeypatch.setattr(models, "MAX_ARRAY_BYTES", budget)
@@ -222,23 +281,44 @@ def test_a_budget_split_decode_and_smooth_changes_nothing(tmp_path, monkeypatch,
                 assert len(chunks) > 1
 
 
-@pytest.mark.parametrize(
-    "command", ["likelihood", "filter", "smooth", "decode", "predict", "predict --observation"]
-)
-def test_an_impossible_observation_names_the_lowest_failing_sequence(command, tmp_path, capsys):
-    # Symbol 2 has probability zero in every state.  Sequence 3 fails at step 1,
-    # and sequence 1, shorter and in another length group, fails at step 2.
+IMPOSSIBLE_QUERIES = ["likelihood", "filter", "smooth", "decode", "predict", "predict --observation"]
+# Sequence 3 fails at step 1, and sequence 1, shorter, at step 2.
+IMPOSSIBLE = [[0, 1, 0, 1, 0], [1, 0, 2], [0, 1, 1], [0, 2, 0, 1, 0]]
+IMPOSSIBLE_ERROR = "error: sequence 1: observation at time step 2 is impossible under the current model\n"
+
+
+def _impossible_hmm():
+    # Symbol 2 has probability zero in every state.
     model = random_hmm(2, 3, np.random.default_rng(5))
     emit = np.array(model.emit)
     emit[:, :2] += emit[:, 2:] / 2
     emit[:, 2] = 0.0
-    model = type(model)(pi=model.pi, trans=model.trans, emit=emit)
-    seqs = [[0, 1, 0, 1, 0], [1, 0, 2], [0, 1, 1], [0, 2, 0, 1, 0]]
-    model_path, obs_path = _files(tmp_path, model, seqs)
+    return type(model)(pi=model.pi, trans=model.trans, emit=emit)
+
+
+@pytest.mark.parametrize("command", IMPOSSIBLE_QUERIES)
+def test_an_impossible_observation_names_the_lowest_failing_sequence(command, tmp_path, monkeypatch, capsys):
+    # The file is one window: both stacks run, the stack of sequence 3's
+    # failure first, and nothing is printed.
+    model_path, obs_path = _files(tmp_path, _impossible_hmm(), IMPOSSIBLE)
+    stacks = _record_stacks(monkeypatch)
     assert main(_argv(command, model_path, obs_path)) == 2
-    assert capsys.readouterr().err == (
-        "error: sequence 1: observation at time step 2 is impossible under the current model\n"
-    )
+    assert capsys.readouterr() == ("", IMPOSSIBLE_ERROR)
+    assert stacks == [(2, 5), (2, 3)]
+
+
+@pytest.mark.parametrize("command", IMPOSSIBLE_QUERIES)
+def test_a_failing_window_stops_the_file_after_the_windows_before_it(command, tmp_path, monkeypatch, capsys):
+    # Windows of 7 columns (n = 2 states): [0], [1, 2] and [3].  Sequence 0 is
+    # printed, sequence 1 fails in the second window, and the third never runs.
+    model = _impossible_hmm()
+    model_path, obs_path = _files(tmp_path, model, IMPOSSIBLE)
+    printed = _text(command, [_hmm_queries(model)[command](np.array(IMPOSSIBLE[0]))])
+    monkeypatch.setattr(models, "MAX_ARRAY_BYTES", 8 * 2 * 7)
+    stacks = _record_stacks(monkeypatch)
+    assert main(_argv(command, model_path, obs_path)) == 2
+    assert capsys.readouterr() == (printed, IMPOSSIBLE_ERROR)
+    assert stacks == [(1, 5), (2, 3)]
 
 
 @pytest.mark.parametrize("kind", ["hmm", "chmm"])
@@ -267,8 +347,9 @@ def test_every_obs_command_validates_each_sequence_once(kind, tmp_path, monkeypa
 def test_stacked_smooth_peak_memory_stays_within_four_stacks():
     # The evidence, alpha and beta (then gamma) stacks are three T x B x n
     # tables, and the scratch must stay within one more.  A reader that keeps
-    # every sequence's table holds a fourth stack of copies, which fits only
-    # because the evidence and alpha stacks are let go once the tables are made.
+    # every sequence's table keeps the gamma stack, and the peak stays within
+    # four stacks because the evidence and alpha stacks are let go once the
+    # tables are made.
     B, T, n, m = 20, 200, 8, 6
     rng = np.random.default_rng(7)
     model = random_hmm(n, m, rng)
@@ -277,8 +358,7 @@ def test_stacked_smooth_peak_memory_stays_within_four_stacks():
 
     def run():
         tables = list(inference._smoothed(model.pi, model.trans, seqs, lambda obs: emit_T[obs]))
-        # Each a copy, which holds only its own rows, not the stack.
-        assert all(g.shape == (T, n) and g.base is None for g in tables)
+        assert all(g.shape == (T, n) for g in tables)
 
     run()
     tracemalloc.start()
@@ -288,3 +368,51 @@ def test_stacked_smooth_peak_memory_stays_within_four_stacks():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * B * T * n * 8
+
+
+def test_streamed_smooth_peak_memory_is_bounded_by_the_budget_not_the_file(monkeypatch):
+    # A budget of 10 tables; a short sequence second in the file.  Stacks
+    # grouped by length across the whole file would make every later table
+    # wait for it, so the peak would grow with the number of sequences.  A
+    # window's evidence, alpha and beta stacks (then gamma) are three budgets,
+    # and no table of an earlier window may be held while they are made.
+    T, n, m = 200, 32, 4
+    table = 8 * T * n
+    model = random_hmm(n, m, np.random.default_rng(8))
+    long, short = sample(model, T, 1)[1], sample(model, 3, 2)[1]
+    emit_T = model.emit.T
+    monkeypatch.setattr(models, "MAX_ARRAY_BYTES", 10 * table)
+    peaks = []
+    for count in (60, 240):
+        seqs = [long, short] + [long] * count
+        tracemalloc.start()
+        try:
+            for gamma in inference._smoothed(model.pi, model.trans, seqs, lambda obs: emit_T[obs]):
+                assert gamma.shape[1] == n  # read, then dropped, as the CLI does
+                del gamma
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 3.5 * 10 * table
+    assert peaks[1] <= peaks[0] + table
+
+
+def test_cli_smooth_peak_memory_is_bounded_by_the_budget_not_the_file(tmp_path, monkeypatch):
+    # The file of the test above, through the CLI, whose printing loop must
+    # not hold a window's last table while the next window is made.  Parsing
+    # and formatting take about one budget more.
+    T, n, m = 200, 32, 4
+    table = 8 * T * n
+    model = random_hmm(n, m, np.random.default_rng(8))
+    long, short = sample(model, T, 1)[1], sample(model, 3, 2)[1]
+    model_path, obs_path = _files(tmp_path, model, [long, short] + [long] * 60)
+    monkeypatch.setattr(models, "MAX_ARRAY_BYTES", 10 * table)
+    with open(tmp_path / "out.txt", "w") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        tracemalloc.start()
+        try:
+            assert main(["smooth", "--model", model_path, "--obs", obs_path]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 4.5 * 10 * table
