@@ -4,8 +4,8 @@ A coupled HMM is an HMM over joint chain-state tuples, stored as flat
 row-major indices (chain 0 slowest), whose evidence factorises over chains:
 the evidence table multiplies each chain's emission column, and the scaled
 recursion and E-step are the shared ones in :mod:`dbnkit.inference`.  The
-joint transition broadcasts each chain's conditional table
-(``models._chain_conditional``) from its parents' source axes onto its own
+joint transition broadcasts each chain's conditional table, kept by the
+model since construction, from its parents' source axes onto its own
 destination axis and multiplies the chains in; ``convert.flatten_chmm``
 gathers the same tables by joint-state digits instead, so the two routes
 stay structurally separate and can cross-validate each other.  The CLI runs
@@ -30,7 +30,7 @@ from .inference import (
     _smooth_one,
 )
 from .learning import EmConfig, _run_em, normalize_rows
-from .models import ChmmModel, _chain_conditional, _check_array_bytes, validate_obs
+from .models import ChmmModel, _check_array_bytes, validate_obs
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,7 +69,7 @@ def _joint_transition(model):
         parents = model.parents(l)
         axes = [sizes[k] if k in parents else 1 for k in range(L)]
         axes += [sizes[k] if k == l else 1 for k in range(L)]
-        out *= _chain_conditional(model, l).reshape(axes)
+        out *= model._chain_tables[l].reshape(axes)
     n = int(np.prod(sizes))
     return out.reshape(n, n)
 

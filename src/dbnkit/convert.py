@@ -18,7 +18,6 @@ from .models import (
     ChmmModel,
     HmmModel,
     Tbn2Model,
-    _chain_conditional,
     _check_array_bytes,
     validate_obs,
 )
@@ -51,7 +50,7 @@ def flatten_chmm(model: ChmmModel) -> HmmModel:
 
     trans = np.ones((n, n))
     for l in range(L):
-        cond = _chain_conditional(model, l)[tuple(state_digit[p] for p in model.parents(l))]
+        cond = model._chain_tables[l][tuple(state_digit[p] for p in model.parents(l))]
         trans *= cond[:, state_digit[l]]
 
     emit = np.ones((n, m))

@@ -185,8 +185,8 @@ def parse_obs_line(text, ctx="observation"):
 
     Space-separated symbol indices; per-chain symbols within one step are
     comma-joined.  Returns a 1-D int array, or (T, L) when commas appear.
-    Negative or non-integer tokens are rejected (missing values are not
-    supported).
+    Negative or non-integer tokens, and symbols above 2**63 - 1, are
+    rejected (missing values are not supported).
     """
     tokens = text.split()
     if not tokens:
@@ -207,6 +207,9 @@ def parse_obs_line(text, ctx="observation"):
     return np.array([_parse_symbol(tok, ctx, step) for step, tok in enumerate(tokens)], dtype=np.int64)
 
 
+_MAX_SYMBOL = 2**63 - 1  # symbols are stored as int64
+
+
 def _parse_symbol(token, ctx, step):
     try:
         value = int(token)
@@ -218,6 +221,8 @@ def _parse_symbol(token, ctx, step):
         raise ModelFormatError(
             f"{ctx}: step {step}: negative symbol {value}; missing observations are not supported"
         )
+    if value > _MAX_SYMBOL:
+        raise ModelFormatError(f"{ctx}: step {step}: symbol {value} does not fit in 64 bits")
     return value
 
 

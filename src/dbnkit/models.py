@@ -13,7 +13,7 @@ are plain integer arrays checked against a model by :func:`validate_obs`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -141,12 +141,15 @@ class ChmmModel:
     state at time t; the parent set of chain l is exactly the set of chains
     k with a (k, l) coupling and must contain l itself.  At each step the
     next state of chain l is drawn from the product of its parents' coupling
-    rows, renormalized over chain l's states.
+    rows, renormalized over chain l's states: construction derives that table
+    once per chain and keeps it read-only in ``_chain_tables``, raising
+    SizeCapError first if the tables would not fit MAX_ARRAY_BYTES together.
     """
 
     initials: Sequence[np.ndarray]
     emissions: Sequence[np.ndarray]
     couplings: Mapping[tuple[int, int], np.ndarray]
+    _chain_tables: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         initials = tuple(
@@ -166,6 +169,11 @@ class ChmmModel:
         object.__setattr__(self, "emissions", emissions)
         object.__setattr__(self, "couplings", MappingProxyType(couplings))
         validate_chmm(self)
+        shapes = [[self.states_per_chain[k] for k in self.parents(l) + (l,)] for l in range(self.num_chains)]
+        for l, dims in enumerate(shapes):
+            _check_array_bytes(f"chain {l} transition table", *dims)
+        _check_array_bytes("chain transition table total", sum(map(math.prod, shapes)))  # all are kept at once
+        object.__setattr__(self, "_chain_tables", tuple(_chain_conditional(self, l) for l in range(self.num_chains)))
 
     @property
     def num_chains(self) -> int:
@@ -185,17 +193,17 @@ class ChmmModel:
 
 
 def _chain_conditional(model: ChmmModel, chain: int) -> np.ndarray:
-    """Chain ``chain``'s transition table P(x_chain' | x_parents).
+    """Chain ``chain``'s read-only transition table P(x_chain' | x_parents).
 
     One axis per parent chain, in ``model.parents(chain)`` order, then the
     chain's next state on the last axis: the product of the parents'
-    coupling rows, renormalized over the last axis.  Raises
-    ModelValidationError, naming the first parent configuration in row-major
-    order, if some configuration gives the product zero mass.
+    coupling rows, renormalized over the last axis; ChmmModel construction
+    keeps one per chain, after checking that they fit MAX_ARRAY_BYTES
+    together.  Raises ModelValidationError, naming the first parent
+    configuration in row-major order, if one gives the product zero mass.
     """
     parents = model.parents(chain)
     dims = [model.states_per_chain[k] for k in parents + (chain,)]
-    _check_array_bytes(f"chain {chain} transition table", *dims)
     grid = np.ix_(*map(np.arange, dims))
     table = 1.0
     for axis, p in enumerate(parents):
@@ -207,7 +215,9 @@ def _chain_conditional(model: ChmmModel, chain: int) -> np.ndarray:
             f"coupling product for chain {chain} has zero mass when its parent chains "
             f"{parents} are in states {states}"
         )
-    return table / mass
+    table /= mass  # in place: the product is a new array, and a table may take the whole budget
+    table.setflags(write=False)
+    return table
 
 
 def nearest_neighbor_parents(num_chains: int) -> tuple[tuple[int, ...], ...]:
@@ -378,17 +388,21 @@ def validate_obs(model, obs) -> np.ndarray:
     take a (T, L) array with one symbol per chain per step.  Returns the
     validated int64 array, or raises SizeCapError if a T x (joint states)
     table (evidence, alpha, beta, gamma) would not fit MAX_ARRAY_BYTES.
+    Symbols are range-checked before the int64 cast, so an error names the
+    symbol as given, however large.
     """
-    arr = np.asarray(obs)
+    try:
+        arr = np.asarray(obs)
+        cast = None if np.issubdtype(arr.dtype, np.integer) else arr.astype(np.float64)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ObservationError(f"observation symbols must be a rectangular array of integers: {err}") from None
     if arr.size == 0:
         raise ObservationError("observation sequence must have at least one step")
-    if not np.issubdtype(arr.dtype, np.integer):
-        cast = np.asarray(arr, dtype=np.float64)
-        if not np.all(cast == np.floor(cast)):
+    if cast is not None:
+        if not (np.isfinite(cast) & (cast == np.floor(cast))).all():
             raise ObservationError("observation symbols must be integers")
-        arr = cast.astype(np.int64)
-    else:
-        arr = arr.astype(np.int64)
+        if arr.dtype != object:  # an object array holds Python integers too large for int64 exactly
+            arr = cast
 
     if isinstance(model, HmmModel):
         if arr.ndim != 1:
@@ -414,7 +428,7 @@ def validate_obs(model, obs) -> np.ndarray:
     else:
         raise TypeError(f"unsupported model type {type(model).__name__}")
     _check_array_bytes("evidence table", arr.shape[0], states)
-    return arr
+    return arr.astype(np.int64)
 
 
 def _validate_sequences(model, sequences) -> list:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .models import ChmmModel, HmmModel, _chain_conditional, nearest_neighbor_parents
+from .models import ChmmModel, HmmModel, _check_array_bytes, nearest_neighbor_parents
 
 
 def _draw(cumulative, rng):
@@ -23,6 +23,8 @@ def sample(model, length: int, seed: int):
 
     For an HmmModel both outputs are 1-D int arrays of length T.  For a
     ChmmModel both are (T, L) arrays with one state/symbol per chain.
+    Raises SizeCapError, before drawing anything, if one of them would not
+    fit the byte budget.
     """
     length = int(length)
     if length < 1:
@@ -36,6 +38,7 @@ def sample(model, length: int, seed: int):
 
 
 def _sample_hmm(model, length, rng):
+    _check_array_bytes("sampled path", length)
     pi_cum = np.cumsum(model.pi)
     trans_cum = np.cumsum(model.trans, axis=1)
     emit_cum = np.cumsum(model.emit, axis=1)
@@ -52,10 +55,11 @@ def _sample_hmm(model, length, rng):
 
 def _sample_chmm(model, length, rng):
     L = model.num_chains
+    _check_array_bytes("sampled path", length, L)
     init_cum = [np.cumsum(p) for p in model.initials]
     emit_cum = [np.cumsum(b, axis=1) for b in model.emissions]
     parents = [list(model.parents(l)) for l in range(L)]
-    trans_cum = [np.cumsum(_chain_conditional(model, l), axis=-1) for l in range(L)]
+    trans_cum = [np.cumsum(table, axis=-1) for table in model._chain_tables]
     states = np.empty((length, L), dtype=np.int64)
     symbols = np.empty((length, L), dtype=np.int64)
     x = np.empty(L, dtype=np.int64)

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from dbnkit import (
     flatten_obs,
     forward,
     hmm_to_chmm,
+    load_model,
     log_likelihood,
     random_chmm,
     random_hmm,
@@ -28,6 +30,7 @@ from dbnkit import (
     smooth,
 )
 from dbnkit.chmm import _joint_transition
+from dbnkit import models
 from dbnkit.cli import main
 from dbnkit.models import _chain_conditional
 from dbnkit.sampling import _draw
@@ -134,14 +137,15 @@ def test_size_cap_applies(monkeypatch):
 
 
 def test_em_checks_size_cap_before_building_joint_arrays(monkeypatch):
-    # 101^3 = 1,030,301 joint states: the dense transition would take 8.5 TB,
-    # far over models.MAX_ARRAY_BYTES, so it must be refused before it is built.
+    # 2^14 = 16,384 joint states: the dense transition would take 2 GiB, over
+    # models.MAX_ARRAY_BYTES, so it must be refused before it is built (each
+    # chain's own table has only 2^4 entries).
     def never(model):
         raise AssertionError("joint transition built for an oversized model")
 
     monkeypatch.setattr("dbnkit.chmm._joint_transition", never)
     rng = np.random.default_rng(27)
-    m = random_chmm([101, 101, 101], [2, 2, 2], rng)
+    m = random_chmm([2] * 14, [2] * 14, rng)
     with pytest.raises(SizeCapError):
         chmm_em(m, [_rand_obs(m, 4, rng)], EmConfig(max_iterations=1))
 
@@ -193,17 +197,18 @@ def test_joint_recursion_cost_quadratic_in_joint_size():
 
     rng = np.random.default_rng(71)
     T = 300
-    times = {}
+    problems = {}
     for L in (9, 10):
         m = random_chmm([2] * L, [2] * L, rng)
-        obs = np.stack([rng.integers(0, 2, T) for _ in range(L)], axis=1)
-        chmm_forward(m, obs)  # warm-up
-        best = np.inf
-        for _ in range(3):
+        problems[L] = m, np.stack([rng.integers(0, 2, T) for _ in range(L)], axis=1)
+        chmm_forward(*problems[L])  # warm-up
+    times = {L: np.inf for L in problems}
+    # interleave repetitions so a burst of machine load hits both sizes alike
+    for _ in range(3):
+        for L in problems:
             start = time.perf_counter()
-            chmm_forward(m, obs)
-            best = min(best, time.perf_counter() - start)
-        times[L] = best
+            chmm_forward(*problems[L])
+            times[L] = min(times[L], time.perf_counter() - start)
     ratio = times[10] / times[9]
     assert 2.0 <= ratio <= 6.0  # 4x expected, within 50%
 
@@ -300,6 +305,32 @@ def test_chain_tables_match_reference_routes_bit_for_bit():
             assert np.array_equal(got, want)
 
 
+def test_chain_tables_are_derived_once_at_construction(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counting(model, chain):
+        calls.append(chain)
+        return _chain_conditional(model, chain)
+
+    monkeypatch.setattr(models, "_chain_conditional", counting)
+    rng = np.random.default_rng(33)
+    m = random_chmm([2, 3, 2], [2, 2, 2], rng)
+    assert calls == [0, 1, 2]
+    assert all(not table.flags.writeable for table in m._chain_tables)
+    calls.clear()
+    obs = _rand_obs(m, 6, rng)
+    chmm_likelihood(m, obs)
+    chmm_smooth(m, obs)
+    flatten_chmm(m)
+    sample(m, 10, 0)
+    assert calls == []
+    path = tmp_path / "chmm.json"
+    save_model(m, path)
+    for command in ("smooth", "decode"):
+        assert main([command, "--model", str(path), "--obs", "0,1,1 1,1,0"]) == 0
+    assert calls == [0, 1, 2, 0, 1, 2]  # one construction per command, in load_model
+
+
 def test_chain_conditional_with_two_parents_matches_hand_computation():
     c01 = [[0.9, 0.1], [0.4, 0.6], [0.5, 0.5]]
     c11 = [[0.7, 0.3], [0.2, 0.8]]
@@ -326,19 +357,30 @@ def test_chain_conditional_with_two_parents_matches_hand_computation():
 def test_zero_mass_coupling_product_is_a_model_error(tmp_path, capsys):
     # Chain 1's parents are chains 0 and 1; for parent states (0, 0) and
     # (1, 1) the rows of (0->1) and (1->1) share no support.
-    m = ChmmModel(
-        initials=[[0.5, 0.5], [0.5, 0.5]],
-        emissions=[[[0.9, 0.1], [0.2, 0.8]], [[0.9, 0.1], [0.2, 0.8]]],
-        couplings={(0, 0): np.eye(2), (1, 1): np.eye(2), (0, 1): [[0.0, 1.0], [1.0, 0.0]]},
-    )
+    chain = {"states": 2, "symbols": 2, "pi": [0.5, 0.5], "emit": [[0.9, 0.1], [0.2, 0.8]]}
+    doc = {
+        "type": "chmm",
+        "chains": [chain, chain],
+        "couplings": [
+            {"from": 0, "to": 0, "matrix": [[1.0, 0.0], [0.0, 1.0]]},
+            {"from": 0, "to": 1, "matrix": [[0.0, 1.0], [1.0, 0.0]]},
+            {"from": 1, "to": 1, "matrix": [[1.0, 0.0], [0.0, 1.0]]},
+        ],
+    }
     message = "coupling product for chain 1 has zero mass when its parent chains (0, 1) are in states (0, 0)"
-    obs = np.array([[0, 1], [1, 1]])
-    for call in (lambda: chmm_likelihood(m, obs), lambda: flatten_chmm(m), lambda: sample(m, 5, 0)):
+    path = tmp_path / "zero_mass.json"
+    path.write_text(json.dumps(doc))
+    for call in (
+        lambda: ChmmModel(
+            initials=[c["pi"] for c in doc["chains"]],
+            emissions=[c["emit"] for c in doc["chains"]],
+            couplings={(c["from"], c["to"]): c["matrix"] for c in doc["couplings"]},
+        ),
+        lambda: load_model(path),
+    ):
         with pytest.raises(ModelValidationError) as err:
             call()
         assert str(err.value) == message
-    path = tmp_path / "zero_mass.json"
-    save_model(m, path)
     for argv in (["smooth", "--obs", "0,1 1,1"], ["sample", "--length", "5", "--seed", "0"], ["validate"]):
         assert main(argv + ["--model", str(path)]) == 2
         captured = capsys.readouterr()

@@ -26,17 +26,15 @@ def test_validate_ok(model_file, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_validate_says_when_it_skips_an_oversized_chain_table(tmp_path, capsys):
-    # chain 0's parents are all 6 chains of 31 states: its table is 31**7 entries (220 GB)
-    parents = [tuple(range(6))] + [(l,) for l in range(1, 6)]
-    path = tmp_path / "big.json"
-    save_model(random_chmm([31] * 6, [2] * 6, np.random.default_rng(3), parents=parents), path)
-    assert main(["validate", "--model", str(path)]) == 0
+def test_validate_refuses_a_chain_table_over_the_byte_budget(tmp_path, capsys, monkeypatch):
+    # chain 1's parents are chains 0 and 1 of 4 states: its table has 4**3 entries (512 bytes)
+    path = tmp_path / "chmm.json"
+    save_model(random_chmm([4, 4], [2, 2], np.random.default_rng(3), parents=[(0,), (0, 1)]), path)
+    monkeypatch.setattr("dbnkit.models.MAX_ARRAY_BYTES", 511)
+    assert main(["validate", "--model", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("warning: zero-mass coupling check skipped for chain 0: chain 0 transition table")
+    assert captured.err == "error: chain 1 transition table (4 x 4 x 4) needs 512 bytes, over the budget of 511\n"
 
 
 def test_validate_bad_model(tmp_path, capsys):
@@ -244,6 +242,31 @@ def test_sample_stdout_deterministic(model_file, capsys):
     main(["sample", "--model", model_file, "--length", "5", "--seed", "1"])
     assert capsys.readouterr().out == first
     assert len(first.split()) == 5
+
+
+def test_sample_refuses_a_path_over_the_byte_budget(model_file, monkeypatch, capsys):
+    monkeypatch.setattr("dbnkit.models.MAX_ARRAY_BYTES", 800)
+    assert main(["sample", "--model", model_file, "--length", "101"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sampled path (101) needs 808 bytes, over the budget of 800\n"
+
+
+@pytest.mark.parametrize("form", ["inline", "comma", "file"])
+def test_a_symbol_too_large_for_int64_is_a_data_error(model_file, chmm_file, tmp_path, capsys, form):
+    big = 2**63  # one more than the largest int64
+    text = f"0,0 1,{big} 1,1" if form == "comma" else f"0 {big} 1"
+    obs = text
+    ctx = "--obs"
+    if form == "file":
+        obs = str(tmp_path / "obs.txt")
+        (tmp_path / "obs.txt").write_text(f"0 1\n{text}\n")
+        ctx = f"{obs}: line 2"
+    model = chmm_file if form == "comma" else model_file
+    assert main(["likelihood", "--model", model, "--obs", obs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {ctx}: step 1: symbol {big} does not fit in 64 bits\n"
 
 
 def test_pipeline_sample_train_likelihood(model_file, tmp_path, capsys):

@@ -268,6 +268,24 @@ def test_validate_obs_hmm(worked_model):
         validate_obs(worked_model, [0.5, 1.0])
 
 
+@pytest.mark.parametrize(
+    "obs, message",
+    [
+        ([[0, 0], [0]], "observation symbols must be a rectangular array of integers: .*inhomogeneous"),
+        (["a"], "observation symbols must be a rectangular array of integers: .*'a'"),
+        ([2**70], "^symbol 1180591620717411303424 at step 0 outside valid range 0..1$"),
+        ([0, 2**63], "^symbol 9223372036854775808 at step 1 outside valid range 0..1$"),
+        ([0.0, 1e30], "^symbol 1000000000000000019884624838656 at step 1 outside valid range 0..1$"),
+        ([0.0, np.inf], "^observation symbols must be integers$"),
+    ],
+    ids=["ragged", "string", "2**70", "2**63", "1e30", "inf"],
+)
+def test_validate_obs_refuses_what_numpy_cannot_hold_as_int64(worked_model, obs, message):
+    # No numpy error and no RuntimeWarning (which the suite turns into an error) gets through.
+    with pytest.raises(ObservationError, match=message):
+        validate_obs(worked_model, obs)
+
+
 def test_validate_obs_chmm():
     m = ChmmModel(
         initials=[[0.5, 0.5], [0.5, 0.5]],

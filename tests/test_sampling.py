@@ -66,11 +66,10 @@ def test_random_models_are_valid():
         )
 
 
-def test_chmm_sample_refuses_an_oversized_chain_table_before_building_it(monkeypatch):
+def test_chmm_construction_refuses_an_oversized_chain_table_before_building_it(monkeypatch):
     # chain 0's parents are all 6 chains of 31 states, so its transition table
     # has 31**7 entries (220 GB)
     parents = [tuple(range(6))] + [(l,) for l in range(1, 6)]
-    m = random_chmm([31] * 6, [2] * 6, np.random.default_rng(3), parents=parents)
 
     def never(*args):
         raise AssertionError("chain table built for an oversized model")
@@ -78,4 +77,31 @@ def test_chmm_sample_refuses_an_oversized_chain_table_before_building_it(monkeyp
     # The table is built over an np.ix_ grid, so nothing of it exists before that call.
     monkeypatch.setattr(np, "ix_", never)
     with pytest.raises(SizeCapError, match="chain 0 transition table"):
-        sample(m, 5, seed=0)
+        random_chmm([31] * 6, [2] * 6, np.random.default_rng(3), parents=parents)
+
+
+def test_chmm_construction_refuses_chain_tables_that_fit_only_one_by_one(monkeypatch):
+    # two chains of 4 states, each with both chains as parents: two 4**3-entry tables of 512 bytes
+    parents = [(0, 1), (0, 1)]
+    monkeypatch.setattr("dbnkit.models.MAX_ARRAY_BYTES", 1024)
+    random_chmm([4, 4], [2, 2], np.random.default_rng(5), parents=parents)
+
+    def never(*args):
+        raise AssertionError("chain table built for an oversized model")
+
+    monkeypatch.setattr("dbnkit.models.MAX_ARRAY_BYTES", 1023)
+    monkeypatch.setattr(np, "ix_", never)
+    message = r"^chain transition table total \(128\) needs 1024 bytes, over the budget of 1023$"
+    with pytest.raises(SizeCapError, match=message):
+        random_chmm([4, 4], [2, 2], np.random.default_rng(5), parents=parents)
+
+
+def test_sample_refuses_a_path_over_the_byte_budget(monkeypatch, worked_model):
+    monkeypatch.setattr("dbnkit.models.MAX_ARRAY_BYTES", 800)
+    chmm = random_chmm([2, 2], [2, 2], np.random.default_rng(4))
+    assert sample(worked_model, 100, seed=0)[0].shape == (100,)
+    assert sample(chmm, 50, seed=0)[0].shape == (50, 2)
+    with pytest.raises(SizeCapError, match=r"sampled path \(101\) needs 808 bytes, over the budget of 800"):
+        sample(worked_model, 101, seed=0)
+    with pytest.raises(SizeCapError, match=r"sampled path \(51 x 2\) needs 816 bytes"):
+        sample(chmm, 51, seed=0)
