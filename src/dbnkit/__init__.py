@@ -47,7 +47,7 @@ from .io import (
     save_model,
     save_observations,
 )
-from .learning import EmConfig, EmTrace, SufficientStats, baum_welch, mle_complete
+from .learning import EmConfig, EmTrace, baum_welch, mle_complete
 from .models import (
     ChmmModel,
     HmmModel,
@@ -84,7 +84,6 @@ __all__ = [
     "ParticleFilterResult",
     "PosteriorResult",
     "SizeCapError",
-    "SufficientStats",
     "Tbn2Model",
     "TbnVariable",
     "allen_relation",

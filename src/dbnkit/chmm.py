@@ -148,11 +148,11 @@ def chmm_em(init: ChmmModel, sequences, config: EmConfig = EmConfig()):
 
     Because the coupled transition renormalizes a product of coupling rows,
     the count-based coupling proposal is a surrogate and can overshoot, so
-    each iteration is safeguarded: if the proposal would lower the total
-    log-likelihood, the coupling step is halved toward the previous
-    parameters until it no longer does, keeping the previous couplings
-    outright as the final fallback.  The recorded trace is therefore
-    nondecreasing up to roundoff.
+    each iteration is safeguarded: the coupling step, starting at the full
+    proposal, is halved toward the previous couplings while it would lower
+    the total log-likelihood, three times at most; the loop then ends at
+    step 0, which keeps the previous couplings and so needs no likelihood
+    pass.  The recorded trace is therefore nondecreasing up to roundoff.
 
     Returns (trained model, EmTrace).
     """
@@ -196,21 +196,18 @@ def _total_log_likelihood(model, sequences):
     return total
 
 
-def _safeguarded_update(model, stats, sequences, current_ll, pseudocount):
-    init_counts, emit_counts, pair_counts = stats
+def _safeguarded_update(model, counts, sequences, current_ll, pseudocount):
+    init_counts, emit_counts, pair_counts = counts
     new_initials = [normalize_rows(c[None, :], pseudocount)[0] for c in init_counts]
     new_emissions = [normalize_rows(c, pseudocount) for c in emit_counts]
     proposed = {key: normalize_rows(c, pseudocount) for key, c in pair_counts.items()}
     slack = 1e-12 * (1.0 + abs(current_ll))
-    for step in (1.0, 0.5, 0.25, 0.125):
+    # Step 0 keeps the couplings bit for bit (1.0 * c + 0.0 * p == c for finite, nonnegative entries):
+    # an exact coordinate M-step of initials and emissions, which cannot lower the likelihood.
+    for step in (1.0, 0.5, 0.25, 0.125, 0.0):
         couplings = {
             key: (1.0 - step) * model.couplings[key] + step * proposed[key] for key in proposed
         }
         candidate = ChmmModel(initials=new_initials, emissions=new_emissions, couplings=couplings)
-        if _total_log_likelihood(candidate, sequences) >= current_ll - slack:
+        if step == 0.0 or _total_log_likelihood(candidate, sequences) >= current_ll - slack:
             return candidate
-    # Updating only initials and emissions is an exact coordinate M-step, so
-    # it cannot lower the likelihood.
-    return ChmmModel(
-        initials=new_initials, emissions=new_emissions, couplings=dict(model.couplings)
-    )

@@ -14,7 +14,9 @@ the evidence of every joint symbol.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import math
 import os
 import sys
@@ -26,7 +28,7 @@ from . import inference, learning
 from .convert import unroll_tbn
 from .decoding import _viterbi_paths
 from .errors import DbnError, DegenerateWeightsError
-from .io import format_obs, load_model, load_observations, parse_obs_line, save_model, save_observations
+from .io import format_obs, load_model, load_observations, parse_obs_line, save_model
 from .models import ChmmModel, HmmModel, Tbn2Model, _check_array_bytes, _validate_sequences
 from .oracle import run_equivalence_checks
 from .sampling import sample
@@ -220,19 +222,15 @@ def _cmd_validate(args):
 
 def _cmd_sample(args):
     model = _as_joint_hmm(load_model(args.model))
-    state_seqs = []
-    obs_seqs = []
-    for i in range(args.count):
-        states, symbols = sample(model, args.length, args.seed + i)
-        state_seqs.append(states)
-        obs_seqs.append(symbols)
-    if args.out:
-        save_observations(obs_seqs, args.out)
-    else:
-        for seq in obs_seqs:
-            print(format_obs(seq))
-    if args.states_out:
-        save_observations(state_seqs, args.states_out)
+    draws = (sample(model, args.length, args.seed + i) for i in range(args.count))
+    first = next(draws)  # a length over the byte budget raises here, before any file is opened
+    with contextlib.ExitStack() as files:
+        out = files.enter_context(open(args.out, "w", encoding="utf-8")) if args.out else sys.stdout
+        states_out = files.enter_context(open(args.states_out, "w", encoding="utf-8")) if args.states_out else None
+        for states, symbols in itertools.chain([first], draws):
+            out.write(format_obs(symbols) + "\n")
+            if states_out:
+                states_out.write(format_obs(states) + "\n")
     return 0
 
 
@@ -277,8 +275,8 @@ def _cmd_predict(args):
         emit = np.ascontiguousarray(evidence(np.indices(symbols).reshape(len(symbols), -1).T).T)
     elif args.observation:
         emit = model.emit
-    for p in inference._grouped(pi, trans, sequences, evidence, 0, lambda obs, E, alpha, scale: alpha[-1]):
-        p = inference._pushed(p, trans, args.horizon)
+    for alpha in inference._filtered(pi, trans, sequences, evidence):
+        p = inference._pushed(alpha[-1], trans, args.horizon)
         _print_row(p @ emit if args.observation else p)
     return 0
 
@@ -291,14 +289,6 @@ def _cmd_decode(args):
     return 0
 
 
-def _em_config(args):
-    return learning.EmConfig(
-        max_iterations=args.max_iters,
-        rel_tolerance=args.tol,
-        pseudocount=args.pseudocount,
-    )
-
-
 def _cmd_train(args):
     model = load_model(args.model)
     coupled = args.command == "train-chmm"
@@ -307,7 +297,8 @@ def _cmd_train(args):
         kind = "a chmm" if coupled else "an hmm"
         raise DbnError(f"{args.command} expects {kind} initial model, got {type(model).__name__}{hint}")
     fit = chmm_mod.chmm_em if coupled else learning.baum_welch
-    trained, trace = fit(model, _load_obs_arg(args.obs), _em_config(args))
+    config = learning.EmConfig(max_iterations=args.max_iters, rel_tolerance=args.tol, pseudocount=args.pseudocount)
+    trained, trace = fit(model, _load_obs_arg(args.obs), config)
     for ll in trace.log_likelihoods:
         print(_fmt(ll))
     save_model(trained, args.out)

@@ -60,23 +60,6 @@ class EmTrace:
         object.__setattr__(self, "log_likelihoods", lls)
 
 
-@dataclass
-class SufficientStats:
-    """Expected counts accumulated by an E-step over all sequences."""
-
-    expected_initial: np.ndarray
-    expected_transitions: np.ndarray
-    expected_emissions: np.ndarray
-
-    @classmethod
-    def zeros(cls, num_states, num_symbols):
-        return cls(
-            expected_initial=np.zeros(num_states),
-            expected_transitions=np.zeros((num_states, num_states)),
-            expected_emissions=np.zeros((num_states, num_symbols)),
-        )
-
-
 def normalize_rows(counts: np.ndarray, pseudocount: float = 0.0) -> np.ndarray:
     """Row-normalize counts after adding ``pseudocount``; empty rows go uniform."""
     c = counts + pseudocount
@@ -133,24 +116,25 @@ def _e_step(model, sequences):
             emis[i] = np.bincount(bins, weights=gamma[:, :, i].ravel(), minlength=B * m)
         return zip(gamma[0].copy(), xi_sums, emis.reshape(n, B, m).transpose(1, 0, 2), lls)
 
-    stats = SufficientStats.zeros(n, m)
+    initial, transitions, emissions = np.zeros(n), np.zeros((n, n)), np.zeros((n, m))
     total_ll = 0.0
     per_sequence = _expectations(
         model.pi, model.trans, sequences, lambda obs: model.emit.T[obs], summarize, max(n, m)
     )
     for gamma0, xi_sum, emis, ll in per_sequence:
         total_ll += ll
-        stats.expected_initial += gamma0
-        stats.expected_transitions += xi_sum
-        stats.expected_emissions += emis
-    return stats, total_ll
+        initial += gamma0
+        transitions += xi_sum
+        emissions += emis
+    return (initial, transitions, emissions), total_ll
 
 
-def _m_step(stats, pseudocount):
+def _m_step(counts, pseudocount):
+    initial, transitions, emissions = counts
     return HmmModel(
-        pi=normalize_rows(stats.expected_initial[None, :], pseudocount)[0],
-        trans=normalize_rows(stats.expected_transitions, pseudocount),
-        emit=normalize_rows(stats.expected_emissions, pseudocount),
+        pi=normalize_rows(initial[None, :], pseudocount)[0],
+        trans=normalize_rows(transitions, pseudocount),
+        emit=normalize_rows(emissions, pseudocount),
     )
 
 
@@ -168,7 +152,7 @@ def baum_welch(init: HmmModel, sequences, config: EmConfig = EmConfig()):
     """
     return _run_em(
         init, sequences, config, _e_step,
-        lambda model, stats, sequences, ll, pseudocount: _m_step(stats, pseudocount),
+        lambda model, counts, sequences, ll, pseudocount: _m_step(counts, pseudocount),
     )
 
 
@@ -176,9 +160,9 @@ def _run_em(init, sequences, config, e_step, m_step):
     """The EM loop shared by every model type.
 
     Validates each sequence once, naming the sequence in any error, then
-    alternates ``e_step(model, sequences)``, which returns (stats, total
-    log-likelihood), with
-    ``m_step(model, stats, sequences, total log-likelihood, pseudocount)``,
+    alternates ``e_step(model, sequences)``, which returns (expected counts,
+    total log-likelihood), with
+    ``m_step(model, counts, sequences, total log-likelihood, pseudocount)``,
     which returns the next model, until the stopping rule in ``config``
     fires or the iteration cap is reached.  Returns (model, EmTrace).
     """
@@ -190,13 +174,13 @@ def _run_em(init, sequences, config, e_step, m_step):
     converged = False
     for _ in range(config.max_iterations):
         start = time.perf_counter()
-        stats, total_ll = e_step(model, sequences)
+        counts, total_ll = e_step(model, sequences)
         e_seconds.append(time.perf_counter() - start)
         lls.append(total_ll)
         if len(lls) > 1 and abs(lls[-1] - lls[-2]) < config.rel_tolerance * (1.0 + abs(lls[-1])):
             converged = True
             break
         start = time.perf_counter()
-        model = m_step(model, stats, sequences, total_ll, config.pseudocount)
+        model = m_step(model, counts, sequences, total_ll, config.pseudocount)
         m_seconds.append(time.perf_counter() - start)
     return model, EmTrace(np.array(lls), converged, len(lls), tuple(e_seconds), tuple(m_seconds))

@@ -42,15 +42,30 @@ def _rows_within_budget(*dims):
     return max(1, MAX_ARRAY_BYTES // (8 * math.prod(int(d) for d in dims)))
 
 
-def _frozen_array(values, name, ndim=None, dtype=np.float64):
+def _frozen_array(values, name, ndim):
     try:
-        arr = np.array(values, dtype=dtype)
+        arr = np.array(values, dtype=np.float64)
     except (TypeError, ValueError) as err:
         raise ModelValidationError(f"{name} is not a rectangular numeric array: {err}") from err
-    if ndim is not None and arr.ndim != ndim:
+    if arr.ndim != ndim:
         raise ModelValidationError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     arr.setflags(write=False)
     return arr
+
+
+def _is_integral(value):
+    """Whether ``value`` is a number with no fractional part; text never is."""
+    try:
+        return not isinstance(value, (str, bytes)) and int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def _index(value, what):
+    """``int(value)``, or ModelValidationError naming ``what`` unless :func:`_is_integral` holds."""
+    if not _is_integral(value):
+        raise ModelValidationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def check_distribution(probs, name="distribution"):
@@ -160,10 +175,9 @@ class ChmmModel:
         )
         couplings = {}
         for key, mat in dict(self.couplings).items():
-            try:
-                k, l = (int(key[0]), int(key[1]))
-            except (TypeError, ValueError, IndexError) as err:
-                raise ModelValidationError(f"coupling key {key!r} is not a (from, to) chain pair") from err
+            if not (isinstance(key, tuple) and len(key) == 2 and all(map(_is_integral, key))):
+                raise ModelValidationError(f"coupling key {key!r} is not a (from, to) chain pair")
+            k, l = int(key[0]), int(key[1])
             couplings[(k, l)] = _frozen_array(mat, f"coupling ({k}->{l})", ndim=2)
         object.__setattr__(self, "initials", initials)
         object.__setattr__(self, "emissions", emissions)
@@ -278,12 +292,12 @@ class TbnVariable:
     trans_cpt: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "card", int(self.card))
-        object.__setattr__(self, "init_parents", tuple(int(p) for p in self.init_parents))
+        object.__setattr__(self, "card", _index(self.card, "card"))
+        object.__setattr__(self, "init_parents", tuple(_index(p, "init parent") for p in self.init_parents))
         object.__setattr__(
             self,
             "trans_parents",
-            tuple((int(s), int(v)) for s, v in self.trans_parents),
+            tuple((_index(s, "trans parent slice"), _index(v, "trans parent var")) for s, v in self.trans_parents),
         )
         object.__setattr__(self, "init_cpt", _frozen_array(self.init_cpt, "init_cpt", ndim=2))
         object.__setattr__(self, "trans_cpt", _frozen_array(self.trans_cpt, "trans_cpt", ndim=2))
@@ -393,16 +407,21 @@ def validate_obs(model, obs) -> np.ndarray:
     """
     try:
         arr = np.asarray(obs)
-        cast = None if np.issubdtype(arr.dtype, np.integer) else arr.astype(np.float64)
+        if arr.dtype.kind in "US" and arr.size:  # numpy would parse numeric text as a number
+            raise ValueError(f"{arr.flat[0].item()!r} is text")
+        if arr.dtype == object:  # Python numbers, kept exact so that an error names any of them as given
+            integral = all(map(_is_integral, arr.flat))
+        elif np.issubdtype(arr.dtype, np.integer):
+            integral = True
+        else:
+            arr = arr.astype(np.float64)
+            integral = (np.isfinite(arr) & (arr == np.floor(arr))).all()
     except (TypeError, ValueError, OverflowError) as err:
         raise ObservationError(f"observation symbols must be a rectangular array of integers: {err}") from None
     if arr.size == 0:
         raise ObservationError("observation sequence must have at least one step")
-    if cast is not None:
-        if not (np.isfinite(cast) & (cast == np.floor(cast))).all():
-            raise ObservationError("observation symbols must be integers")
-        if arr.dtype != object:  # an object array holds Python integers too large for int64 exactly
-            arr = cast
+    if not integral:
+        raise ObservationError("observation symbols must be integers")
 
     if isinstance(model, HmmModel):
         if arr.ndim != 1:

@@ -30,8 +30,9 @@ from dbnkit import (
     smooth,
 )
 from dbnkit.chmm import _joint_transition
-from dbnkit import models
+from dbnkit import chmm, models
 from dbnkit.cli import main
+from dbnkit.learning import normalize_rows
 from dbnkit.models import _chain_conditional
 from dbnkit.sampling import _draw
 
@@ -187,6 +188,32 @@ def test_em_monotone_on_coupled_chains():
         diffs = np.diff(trace.log_likelihoods)
         if diffs.size:
             assert diffs.min() >= -1e-9
+
+
+def test_coupling_step_loop_ends_at_step_zero_without_a_likelihood_pass(monkeypatch):
+    # Every positive step is rejected: the loop makes one likelihood pass for
+    # each of 1, 0.5, 0.25 and 0.125, then takes step 0, which keeps the
+    # previous couplings bit for bit and re-estimates initials and emissions.
+    rng = np.random.default_rng(32)
+    model = random_chmm([2, 3, 2], [2, 3, 2], rng)
+    seqs = [sample(model, 25, seed)[1] for seed in range(4)]
+    counts, ll = chmm._chmm_e_step(model, seqs)
+    calls = []
+
+    def rejecting(candidate, sequences):
+        calls.append(candidate)
+        return -np.inf
+
+    monkeypatch.setattr(chmm, "_total_log_likelihood", rejecting)
+    updated = chmm._safeguarded_update(model, counts, seqs, ll, 0.0)
+    assert len(calls) == 4
+    assert list(updated.couplings) == list(model.couplings)
+    for key, mat in model.couplings.items():
+        assert updated.couplings[key].tobytes() == mat.tobytes()
+    init_counts, emit_counts, _ = counts
+    for l in range(model.num_chains):
+        assert np.array_equal(updated.initials[l], normalize_rows(init_counts[l][None, :])[0])
+        assert np.array_equal(updated.emissions[l], normalize_rows(emit_counts[l]))
 
 
 def test_joint_recursion_cost_quadratic_in_joint_size():

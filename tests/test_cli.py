@@ -1,4 +1,6 @@
+import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,6 +252,36 @@ def test_sample_refuses_a_path_over_the_byte_budget(model_file, monkeypatch, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: sampled path (101) needs 808 bytes, over the budget of 800\n"
+
+
+def test_sample_refused_by_the_budget_opens_no_output_file(model_file, tmp_path, monkeypatch, capsys):
+    obs_path, states_path = tmp_path / "obs.txt", tmp_path / "states.txt"
+    obs_path.write_text("0 1\n")
+    monkeypatch.setattr("dbnkit.models.MAX_ARRAY_BYTES", 800)
+    args = ["--length", "101", "--out", str(obs_path), "--states-out", str(states_path)]
+    assert main(["sample", "--model", model_file, *args]) == 2
+    assert capsys.readouterr().out == ""
+    assert obs_path.read_text() == "0 1\n"
+    assert not states_path.exists()
+
+
+def test_sample_peak_memory_does_not_grow_with_the_count(model_file, tmp_path):
+    # Each draw is written as it is made.  Keeping the draws of --count 40
+    # would add 72 paths of 8T bytes (36 draws, states and symbols), 144 KB,
+    # to the peak of --count 4; the slack covers each output file's write
+    # buffer and a joined chunk of pending text.
+    T = 250
+    out = ["--out", str(tmp_path / "obs.txt"), "--states-out", str(tmp_path / "states.txt")]
+    assert main(["sample", "--model", model_file, "--length", str(T), *out]) == 0  # warm caches
+    peaks = []
+    for count in (4, 40):
+        tracemalloc.start()
+        try:
+            assert main(["sample", "--model", model_file, "--length", str(T), "--count", str(count), *out]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 4 * io.DEFAULT_BUFFER_SIZE
 
 
 @pytest.mark.parametrize("form", ["inline", "comma", "file"])

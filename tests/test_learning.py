@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import dbnkit
 from dbnkit import (
     EmConfig,
     HmmModel,
@@ -167,3 +168,11 @@ def test_em_trace_times_every_e_step_and_m_step(max_iterations, converged):
         # A converged run stops before the final iteration's M-step.
         assert len(trace.m_step_seconds) == trace.iterations_run - converged
         assert all(s >= 0.0 for s in trace.e_step_seconds + trace.m_step_seconds)
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from dbnkit import *", namespace)
+    assert set(dbnkit.__all__) <= namespace.keys()
+    assert "SufficientStats" not in dbnkit.__all__
+    assert "SufficientStats" not in namespace

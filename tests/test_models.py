@@ -183,6 +183,46 @@ def _chain_var(card=2):
     )
 
 
+def _one_chain_with_key(key):
+    return ChmmModel(initials=[[0.5, 0.5]], emissions=[np.eye(2)], couplings={key: np.full((2, 2), 0.5)})
+
+
+def _var_with(card=2, init_parents=(), trans_parent=(0, 0)):
+    return TbnVariable(
+        card=card,
+        init_parents=init_parents,
+        init_cpt=[[0.5, 0.5]],
+        trans_parents=(trans_parent,),
+        trans_cpt=np.full((2, 2), 0.5),
+    )
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: _one_chain_with_key((0.7, 0.2)), r"coupling key \(0.7, 0.2\) is not a \(from, to\) chain pair"),
+        (lambda: _one_chain_with_key((0, 0, 5)), r"coupling key \(0, 0, 5\) is not a \(from, to\) chain pair"),
+        (lambda: _one_chain_with_key((0, "0")), r"coupling key \(0, '0'\) is not a \(from, to\) chain pair"),
+        (lambda: _var_with(card=2.9), "card must be an integer, got 2.9"),
+        (lambda: _var_with(card="2"), "card must be an integer, got '2'"),
+        (lambda: _var_with(init_parents=(0.5,)), "init parent must be an integer, got 0.5"),
+        (lambda: _var_with(trans_parent=(0.4, 0)), "trans parent slice must be an integer, got 0.4"),
+        (lambda: _var_with(trans_parent=(0, "0")), "trans parent var must be an integer, got '0'"),
+    ],
+    ids=["key-fractions", "key-triple", "key-text", "card-fraction", "card-text", "init-parent", "trans-slice", "trans-var"],
+)
+def test_model_indices_must_be_integers_not_truncated(build, message):
+    with pytest.raises(ModelValidationError, match=f"^{message}$"):
+        build()
+
+
+def test_integral_indices_of_any_numeric_type_are_accepted():
+    assert list(_one_chain_with_key((np.int64(0), 0.0)).couplings) == [(0, 0)]
+    var = _var_with(card=np.float64(2.0), trans_parent=(np.uint8(0), 0.0))
+    assert (var.card, var.trans_parents) == (2, ((0, 0),))
+    assert all(type(i) is int for i in (var.card, *var.trans_parents[0]))
+
+
 def test_tbn2_valid_single_variable():
     m = Tbn2Model(variables=[_chain_var()])
     assert m.num_vars == 1
@@ -277,8 +317,12 @@ def test_validate_obs_hmm(worked_model):
         ([0, 2**63], "^symbol 9223372036854775808 at step 1 outside valid range 0..1$"),
         ([0.0, 1e30], "^symbol 1000000000000000019884624838656 at step 1 outside valid range 0..1$"),
         ([0.0, np.inf], "^observation symbols must be integers$"),
+        (["1"], "^observation symbols must be a rectangular array of integers: '1' is text$"),
+        ([b"1"], "^observation symbols must be a rectangular array of integers: b'1' is text$"),
+        ([0, 10**400], f"^symbol 1{'0' * 400} at step 1 outside valid range 0..1$"),
+        ([10**400, 0.5], "^observation symbols must be integers$"),
     ],
-    ids=["ragged", "string", "2**70", "2**63", "1e30", "inf"],
+    ids=["ragged", "string", "2**70", "2**63", "1e30", "inf", "numeric-string", "bytes", "10**400", "10**400-and-fraction"],
 )
 def test_validate_obs_refuses_what_numpy_cannot_hold_as_int64(worked_model, obs, message):
     # No numpy error and no RuntimeWarning (which the suite turns into an error) gets through.

@@ -24,7 +24,7 @@ from dbnkit import (
 )
 from dbnkit import chmm, inference, learning, models
 from dbnkit.chmm import _chain_marginals, _evidence_table, _joint_chain, _safeguarded_update
-from dbnkit.learning import SufficientStats, _m_step, _run_em
+from dbnkit.learning import _m_step, _run_em
 
 # Interleaved lengths: T = 1 twice, lengths that occur once, and a length that recurs.
 LENGTHS = [7, 1, 12, 7, 3, 12, 1, 7, 20, 3, 5, 7]
@@ -68,17 +68,18 @@ def _ref_expectations(pi, trans, tables):
 
 
 def _ref_e_step(model, sequences):
-    stats = SufficientStats.zeros(model.num_states, model.num_symbols)
+    n, m = model.num_states, model.num_symbols
+    initial, transitions, emissions = np.zeros(n), np.zeros((n, n)), np.zeros((n, m))
     total_ll = 0.0
     tables = (model.emit.T[obs] for obs in sequences)
     for obs, (gamma, xi_sum, ll) in zip(sequences, _ref_expectations(model.pi, model.trans, tables)):
         total_ll += ll
-        stats.expected_initial += gamma[0]
-        stats.expected_transitions += xi_sum
-        emis = np.zeros((model.num_symbols, model.num_states))
+        initial += gamma[0]
+        transitions += xi_sum
+        emis = np.zeros((m, n))
         np.add.at(emis, obs, gamma)
-        stats.expected_emissions += emis.T
-    return stats, total_ll
+        emissions += emis.T
+    return (initial, transitions, emissions), total_ll
 
 
 def _ref_chmm_e_step(model, sequences):
