@@ -1,36 +1,27 @@
-"""Direct joint inference and EM for coupled HMMs.
+"""Coupled HMMs: EM over the joint chain, and the chain marginals of its posterior.
 
 A coupled HMM is an HMM over joint chain-state tuples, stored as flat
-row-major indices (chain 0 slowest), whose evidence factorises over chains:
-the evidence table multiplies each chain's emission column, and the scaled
-recursion and E-step are the shared ones in :mod:`dbnkit.inference`.  The
-joint transition broadcasts each chain's conditional table, kept by the
-model since construction, from its parents' source axes onto its own
-destination axis and multiplies the chains in; ``convert.flatten_chmm``
-gathers the same tables by joint-state digits instead, so the two routes
-stay structurally separate and can cross-validate each other.  The CLI runs
-every query on this joint chain and evidence table.
+row-major indices (chain 0 slowest), whose evidence factorises over chains.
+Its joint chain and evidence tables come from
+:func:`dbnkit.convert._joint_view`, like every model's, so every query of
+:mod:`dbnkit.inference` and :mod:`dbnkit.decoding` takes a coupled model as
+it is.  ``chmm_forward`` and ``chmm_likelihood`` are ``forward`` and
+``log_likelihood`` under older names; ``chmm_backward`` returns the backward
+table, and ``chmm_smooth`` the smoothed posterior with each chain's
+marginal.  Coupled EM runs the E-step of :mod:`dbnkit.inference` on the
+same view, in the driver of :mod:`dbnkit.learning`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .inference import (
-    ForwardResult,
-    _backward_stack,
-    _checked_scale,
-    _expectations,
-    _forward_one,
-    _freeze,
-    _log_likelihoods,
-    _smooth_one,
-)
+from .convert import _joint_view
+from .inference import _expectations, _freeze, _log_likelihoods, backward, forward, log_likelihood, smooth
 from .learning import EmConfig, _run_em, normalize_rows
-from .models import ChmmModel, _check_array_bytes, validate_obs
+from .models import ChmmModel
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,81 +39,19 @@ class ChmmPosterior:
         _freeze(self.gamma, *self.chain_gammas)
 
 
-def _joint_chain(model):
-    """Joint initial distribution and transition, after checking the transition's bytes."""
-    sizes = model.states_per_chain
-    _check_array_bytes("joint transition", *sizes, *sizes)
-    return _joint_initial(model), _joint_transition(model)
-
-
-def _joint_transition(model):
-    """Joint transition over state tuples (chain 0 slowest), as an n x n matrix.
-
-    Entry [source, destination] is the product, in chain order, of each
-    chain's conditional table at its parents' source states and its own
-    destination state.
-    """
-    sizes = model.states_per_chain
-    L = model.num_chains
-    out = np.ones(sizes + sizes)
-    for l in range(L):
-        parents = model.parents(l)
-        axes = [sizes[k] if k in parents else 1 for k in range(L)]
-        axes += [sizes[k] if k == l else 1 for k in range(L)]
-        out *= model._chain_tables[l].reshape(axes)
-    n = int(np.prod(sizes))
-    return out.reshape(n, n)
-
-
-def _joint_initial(model):
-    vec = None
-    for p in model.initials:
-        vec = p if vec is None else np.multiply.outer(vec, p)
-    return vec.reshape(-1)
-
-
-def _evidence_table(model, obs):
-    """E[t, ..., r]: probability of step t's per-chain symbols in joint state r, chain 0 first.
-
-    ``obs`` is one sequence ``[T, L]`` or a time-major stack ``[T, B, L]``.
-    """
-    E = None
-    for l in range(model.num_chains):
-        cols = model.emissions[l].T[obs[..., l]]
-        E = cols if E is None else (E[..., :, None] * cols[..., None, :]).reshape(obs.shape[:-1] + (-1,))
-    return E
-
-
-def chmm_forward(model: ChmmModel, obs) -> ForwardResult:
-    """Scaled joint forward recursion for a coupled HMM.
-
-    The base case multiplies per-chain initials and first emissions; each
-    later step pushes the joint table through the coupled transition and
-    multiplies in the per-chain emission columns.
-    """
-    obs = validate_obs(model, obs)
-    pi, trans = _joint_chain(model)
-    return _forward_one(pi, trans, _evidence_table(model, obs))
+# The queries of every model type are the same functions; these names are kept for existing callers.
+chmm_forward = forward
+chmm_likelihood = log_likelihood
 
 
 def chmm_backward(model: ChmmModel, obs, scale_factors) -> np.ndarray:
     """Scaled joint backward table, using the forward pass's scale factors."""
-    obs = validate_obs(model, obs)
-    _, trans = _joint_chain(model)
-    scale_factors = _checked_scale(scale_factors, obs.shape[0])
-    return _backward_stack(trans, _evidence_table(model, obs)[:, None], scale_factors[:, None])[:, 0]
-
-
-def chmm_likelihood(model: ChmmModel, obs) -> float:
-    """log P(obs) for a coupled HMM, summed over joint final states."""
-    return chmm_forward(model, obs).log_likelihood
+    return backward(model, obs, scale_factors).scaled_beta
 
 
 def chmm_smooth(model: ChmmModel, obs) -> ChmmPosterior:
     """Joint smoothed posterior and per-chain marginals for a coupled HMM."""
-    obs = validate_obs(model, obs)
-    pi, trans = _joint_chain(model)
-    _, gamma, _ = _smooth_one(pi, trans, _evidence_table(model, obs))
+    gamma = smooth(model, obs).gamma
     return ChmmPosterior(gamma, _chain_marginals(model, gamma))
 
 
@@ -163,13 +92,13 @@ def _chmm_e_step(model, sequences):
     sizes = model.states_per_chain
     symbols = model.symbols_per_chain
     L = model.num_chains
-    pi, trans = _joint_chain(model)
+    pi, trans, evidence = _joint_view(model)
     init_counts = [np.zeros(sizes[l]) for l in range(L)]
     emit_counts = [np.zeros((sizes[l], symbols[l])) for l in range(L)]
     pair_counts = {key: np.zeros(mat.shape) for key, mat in model.couplings.items()}
     total_ll = 0.0
     per_sequence = _expectations(
-        pi, trans, sequences, partial(_evidence_table, model),
+        pi, trans, sequences, evidence,
         lambda obs, gamma, xi_sums, lls: [
             (_chain_marginals(model, g), xi_sum, ll)
             for g, xi_sum, ll in zip(gamma.transpose(1, 0, 2), xi_sums, lls)
@@ -189,9 +118,9 @@ def _chmm_e_step(model, sequences):
 
 
 def _total_log_likelihood(model, sequences):
-    pi, trans = _joint_chain(model)
+    pi, trans, evidence = _joint_view(model)
     total = 0.0
-    for ll in _log_likelihoods(pi, trans, sequences, partial(_evidence_table, model)):
+    for ll in _log_likelihoods(pi, trans, sequences, evidence):
         total += ll
     return total
 

@@ -5,10 +5,10 @@ digits, rows in time order and columns in state order, so identical
 invocations are byte-identical and diffable.  Exit codes: 0 success,
 1 usage error, 2 data or model error.
 
-Every query runs on a model's joint chain and evidence tables (a CHMM's
-from :mod:`dbnkit.chmm`, a 2TBN unrolled); the CLI never flattens a CHMM.
-``predict --observation`` on a CHMM builds the n x m joint emission from
-the evidence of every joint symbol.
+Every query runs on a model's joint chain and evidence tables, whatever
+the model type, from :func:`dbnkit.convert._joint_view`, the view every
+library query takes; the CLI never flattens a CHMM.  ``sample`` draws from
+a 2TBN's unrolled chain.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import argparse
 import contextlib
 import functools
 import itertools
-import math
 import os
 import sys
 
@@ -25,11 +24,11 @@ import numpy as np
 
 from . import chmm as chmm_mod
 from . import inference, learning
-from .convert import unroll_tbn
+from .convert import _joint_emission, _joint_view, unroll_tbn
 from .decoding import _viterbi_paths
 from .errors import DbnError, DegenerateWeightsError
 from .io import format_obs, load_model, load_observations, parse_obs_line, save_model
-from .models import ChmmModel, HmmModel, Tbn2Model, _check_array_bytes, _validate_sequences
+from .models import ChmmModel, HmmModel, Tbn2Model, _validate_sequences
 from .oracle import run_equivalence_checks
 from .sampling import sample
 
@@ -194,25 +193,11 @@ def _load_obs_arg(value):
     return [parse_obs_line(value, ctx="--obs")]
 
 
-def _as_joint_hmm(model):
-    """A 2TBN's unrolled joint HMM; every other model as it is."""
-    return unroll_tbn(model) if isinstance(model, Tbn2Model) else model
-
-
-def _joint_view(model, obs_arg):
-    """``(pi, trans, sequences, evidence)`` for the routes of every query.
-
-    The chain is built once: a CHMM's joint chain, or any other model's joint
-    HMM.  The ``--obs`` sequences are validated for the CHMM or the joint HMM,
-    and ``evidence(obs)`` returns a new table at each call.
-    """
-    model = _as_joint_hmm(model)
+def _query_inputs(model, obs_arg):
+    """``(pi, trans, sequences, evidence)``: the ``--obs`` sequences, validated for ``model``, and its joint view."""
     sequences = _validate_sequences(model, _load_obs_arg(obs_arg))
-    if isinstance(model, ChmmModel):
-        pi, trans = chmm_mod._joint_chain(model)
-        return pi, trans, sequences, functools.partial(chmm_mod._evidence_table, model)
-    emit_T = model.emit.T
-    return model.pi, model.trans, sequences, lambda obs: emit_T[obs]
+    pi, trans, evidence = _joint_view(model)
+    return pi, trans, sequences, evidence
 
 
 def _cmd_validate(args):
@@ -221,7 +206,10 @@ def _cmd_validate(args):
 
 
 def _cmd_sample(args):
-    model = _as_joint_hmm(load_model(args.model))
+    if args.out and args.states_out and os.path.realpath(args.out) == os.path.realpath(args.states_out):
+        raise _UsageError("--out and --states-out name the same file")
+    model = load_model(args.model)
+    model = unroll_tbn(model) if isinstance(model, Tbn2Model) else model
     draws = (sample(model, args.length, args.seed + i) for i in range(args.count))
     first = next(draws)  # a length over the byte budget raises here, before any file is opened
     with contextlib.ExitStack() as files:
@@ -235,13 +223,13 @@ def _cmd_sample(args):
 
 
 def _cmd_likelihood(args):
-    for ll in inference._log_likelihoods(*_joint_view(load_model(args.model), args.obs)):
+    for ll in inference._log_likelihoods(*_query_inputs(load_model(args.model), args.obs)):
         print(_fmt(ll))
     return 0
 
 
 def _cmd_filter(args):
-    pi, trans, sequences, evidence = _joint_view(load_model(args.model), args.obs)
+    pi, trans, sequences, evidence = _query_inputs(load_model(args.model), args.obs)
     if args.particles is None:
         _print_tables(inference._filtered(pi, trans, sequences, evidence))
         return 0
@@ -259,22 +247,16 @@ def _cmd_filter(args):
 
 
 def _cmd_smooth(args):
-    _print_tables(inference._smoothed(*_joint_view(load_model(args.model), args.obs)))
+    _print_tables(inference._smoothed(*_query_inputs(load_model(args.model), args.obs)))
     return 0
 
 
 def _cmd_predict(args):
     if args.observation and args.horizon != 1:
         raise _UsageError("--observation predicts one step ahead; --horizon must be 1")
-    model = _as_joint_hmm(load_model(args.model))
-    pi, trans, sequences, evidence = _joint_view(model, args.obs)
-    if args.observation and isinstance(model, ChmmModel):
-        # Column s of the n x m joint emission is the evidence of joint symbol s.
-        symbols = model.symbols_per_chain
-        _check_array_bytes("joint emission", len(pi), math.prod(symbols))
-        emit = np.ascontiguousarray(evidence(np.indices(symbols).reshape(len(symbols), -1).T).T)
-    elif args.observation:
-        emit = model.emit
+    model = load_model(args.model)
+    pi, trans, sequences, evidence = _query_inputs(model, args.obs)
+    emit = _joint_emission(model) if args.observation else None
     for alpha in inference._filtered(pi, trans, sequences, evidence):
         p = inference._pushed(alpha[-1], trans, args.horizon)
         _print_row(p @ emit if args.observation else p)
@@ -282,7 +264,7 @@ def _cmd_predict(args):
 
 
 def _cmd_decode(args):
-    for result in _viterbi_paths(*_joint_view(load_model(args.model), args.obs)):
+    for result in _viterbi_paths(*_query_inputs(load_model(args.model), args.obs)):
         print("\t".join(map(str, result.path.tolist())))
         if args.score:
             print(_fmt(result.log_joint_score))

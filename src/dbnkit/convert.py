@@ -1,16 +1,19 @@
-"""Exact model conversions onto a single joint-state chain.
+"""Every model as a single joint-state chain.
 
 Joint indices are row-major over the component order (component 0 varies
-slowest), for both states and symbols.  These conversions exist partly as a
-second, structurally different route to the same distributions: flattening
-a coupled model and running plain HMM inference must agree with the direct
-coupled recursions to near machine precision.  The CLI never flattens a
-coupled model: ``flatten_chmm`` is only that reference route.
+slowest), for both states and symbols.  :func:`_joint_view` gives every
+query its model's chain and evidence: an HMM's own, a 2TBN unrolled, or a
+coupled HMM's joint chain, whose transition broadcasts each chain's table
+from its parents' source axes onto its own destination axis.
+``flatten_chmm`` gathers the same tables by joint-state digits instead: a
+second, structurally different route to the same distributions, which no
+query takes and which the tests and the oracle compare against.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -110,3 +113,75 @@ def unroll_tbn(model: Tbn2Model) -> HmmModel:
         trans = trans * var.trans_cpt[row, digit[v][None, :]]
 
     return HmmModel(pi=pi, trans=trans, emit=np.eye(n))
+
+
+def _joint_chain(model: ChmmModel):
+    """A coupled model's joint initial distribution and transition, after checking the transition's bytes."""
+    sizes = model.states_per_chain
+    _check_array_bytes("joint transition", *sizes, *sizes)
+    return _joint_initial(model), _joint_transition(model)
+
+
+def _joint_transition(model: ChmmModel):
+    """Joint transition over state tuples (chain 0 slowest), as an n x n matrix.
+
+    Entry [source, destination] is the product, in chain order, of each
+    chain's conditional table at its parents' source states and its own
+    destination state.
+    """
+    sizes = model.states_per_chain
+    L = model.num_chains
+    out = np.ones(sizes + sizes)
+    for l in range(L):
+        parents = model.parents(l)
+        axes = [sizes[k] if k in parents else 1 for k in range(L)]
+        axes += [sizes[k] if k == l else 1 for k in range(L)]
+        out *= model._chain_tables[l].reshape(axes)
+    n = int(np.prod(sizes))
+    return out.reshape(n, n)
+
+
+def _joint_initial(model: ChmmModel):
+    vec = None
+    for p in model.initials:
+        vec = p if vec is None else np.multiply.outer(vec, p)
+    return vec.reshape(-1)
+
+
+def _evidence_table(model: ChmmModel, obs):
+    """E[t, ..., r]: probability of step t's per-chain symbols in joint state r, chain 0 first.
+
+    ``obs`` is one sequence ``[T, L]`` or a time-major stack ``[T, B, L]``.
+    """
+    E = None
+    for l in range(model.num_chains):
+        cols = model.emissions[l].T[obs[..., l]]
+        E = cols if E is None else (E[..., :, None] * cols[..., None, :]).reshape(obs.shape[:-1] + (-1,))
+    return E
+
+
+def _joint_view(model):
+    """``(pi, trans, evidence)``: the joint chain of any model, and its evidence tables.
+
+    ``evidence(obs)`` maps validated observations, one sequence or a
+    time-major stack, to a new evidence table over the chain's states.  A
+    2TBN is unrolled and a coupled HMM's joint chain is built, each once per
+    call, after checking the transition's bytes.
+    """
+    if isinstance(model, Tbn2Model):
+        model = unroll_tbn(model)
+    if isinstance(model, ChmmModel):
+        return *_joint_chain(model), partial(_evidence_table, model)
+    emit_T = model.emit.T
+    return model.pi, model.trans, lambda obs: emit_T[obs]
+
+
+def _joint_emission(model):
+    """The n x m emission of a model's joint chain; a coupled model's column s is joint symbol s's evidence."""
+    if isinstance(model, Tbn2Model):
+        return np.eye(math.prod(model.cardinalities))
+    if isinstance(model, HmmModel):
+        return model.emit
+    symbols = model.symbols_per_chain
+    _check_array_bytes("joint emission", math.prod(model.states_per_chain), math.prod(symbols))
+    return np.ascontiguousarray(_evidence_table(model, np.indices(symbols).reshape(len(symbols), -1).T).T)

@@ -1,4 +1,4 @@
-"""Exact scaled forward-backward inference and particle filtering for HMMs.
+"""Exact scaled forward-backward inference and particle filtering on a joint chain.
 
 The forward pass normalizes each step by its total probability mass c_t, so
 log P(y_{1:T}) accumulates as sum(log c_t) without underflow.  The backward
@@ -8,10 +8,11 @@ smoothed posterior simply the elementwise product of the two scaled tables.
 The recursion is written once, over a time-major stack of evidence tables
 ``E[t, b, i]``, the probability of step t's observation of sequence b in
 state i, so each step works on one contiguous block; a single sequence is a
-stack of one.  HMMs and unrolled two-slice templates fill it from emission
-columns (``emit.T[obs]``); coupled HMMs (:mod:`dbnkit.chmm`) fill it from
-products of per-chain emission columns.  Baum-Welch and coupled EM share its
-E-step, and the CLI's multi-sequence queries share its log-likelihood,
+stack of one.  Every public query takes its chain and evidence from
+:func:`dbnkit.convert._joint_view`, so it accepts an HMM, a coupled HMM or a
+2TBN: an HMM's tables are its emission columns (``emit.T[obs]``), a coupled
+HMM's the products of its per-chain columns.  Baum-Welch and coupled EM share
+its E-step, and the CLI's multi-sequence queries share its log-likelihood,
 filtering, smoothing and prediction routes, which stack the sequences of each
 length within consecutive windows of a file that fit the byte budget, and run
 every table of a stack in the same step.
@@ -24,8 +25,9 @@ from functools import cached_property
 
 import numpy as np
 
+from .convert import _joint_emission, _joint_view
 from .errors import DegenerateWeightsError, ImpossibleObservationError
-from .models import HmmModel, _check_array_bytes, _rows_within_budget, validate_obs
+from .models import _check_array_bytes, _index, _rows_within_budget, validate_obs
 
 
 def _freeze(*arrays):
@@ -293,7 +295,14 @@ def _checked_scale(scale_factors, T):
     return scale_factors
 
 
-def forward(model: HmmModel, obs) -> ForwardResult:
+def _chain(model, obs):
+    """``(pi, trans, E)``: the joint chain of any model and the evidence table of one sequence, validated once."""
+    obs = validate_obs(model, obs)
+    pi, trans, evidence = _joint_view(model)
+    return pi, trans, evidence(obs)
+
+
+def forward(model, obs) -> ForwardResult:
     """Run the scaled forward recursion.
 
     The first step folds in the first emission, alpha_1 = pi * B[:, y_1];
@@ -301,49 +310,48 @@ def forward(model: HmmModel, obs) -> ForwardResult:
     in the new emission column.  Raises ImpossibleObservationError at the
     first step whose total probability is exactly zero.
     """
-    obs = validate_obs(model, obs)
-    return _forward_one(model.pi, model.trans, model.emit.T[obs])
+    return _forward_one(*_chain(model, obs))
 
 
-def backward(model: HmmModel, obs, scale_factors) -> BackwardResult:
+def backward(model, obs, scale_factors) -> BackwardResult:
     """Run the scaled backward recursion using the forward pass's factors.
 
     Row t holds beta_t divided by c_{t+1} * ... * c_T, which is exactly the
     scaling that makes gamma_t proportional to scaled_alpha_t * scaled_beta_t.
     """
-    obs = validate_obs(model, obs)
-    scale_factors = _checked_scale(scale_factors, obs.shape[0])
-    E = model.emit.T[obs][:, None]
-    return BackwardResult(_backward_stack(model.trans, E, scale_factors[:, None])[:, 0])
+    _, trans, E = _chain(model, obs)
+    scale_factors = _checked_scale(scale_factors, E.shape[0])
+    return BackwardResult(_backward_stack(trans, E[:, None], scale_factors[:, None])[:, 0])
 
 
-def log_likelihood(model: HmmModel, obs) -> float:
+def log_likelihood(model, obs) -> float:
     """log P(obs) under the model, via the scaled forward pass."""
     return forward(model, obs).log_likelihood
 
 
-def filter(model: HmmModel, obs) -> np.ndarray:
+def filter(model, obs) -> np.ndarray:
     """Filtered state marginals: row t is P(x_t | y_{1:t})."""
     return forward(model, obs).scaled_alpha
 
 
-def smooth(model: HmmModel, obs) -> PosteriorResult:
+def smooth(model, obs) -> PosteriorResult:
     """Full-sequence smoothing: gamma, plus pairwise xi built when it is read."""
-    obs = validate_obs(model, obs)
-    fwd, gamma, w = _smooth_one(model.pi, model.trans, model.emit.T[obs])
-    return PosteriorResult(gamma, fwd.scaled_alpha, model.trans, w)
+    pi, trans, E = _chain(model, obs)
+    fwd, gamma, w = _smooth_one(pi, trans, E)
+    return PosteriorResult(gamma, fwd.scaled_alpha, trans, w)
 
 
-def predict_state(model: HmmModel, obs, horizon: int = 1) -> np.ndarray:
+def predict_state(model, obs, horizon: int = 1) -> np.ndarray:
     """Distribution of the state ``horizon`` steps past the end of ``obs``.
 
     Horizon 1 is the filtered distribution pushed once through the
     transition matrix; larger horizons apply the transition repeatedly.
     """
-    horizon = int(horizon)
+    horizon = _index(horizon, "horizon", ValueError)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    return _pushed(forward(model, obs).scaled_alpha[-1], model.trans, horizon)
+    pi, trans, E = _chain(model, obs)
+    return _pushed(_forward_one(pi, trans, E).scaled_alpha[-1], trans, horizon)
 
 
 def _pushed(p, trans, horizon):
@@ -353,9 +361,9 @@ def _pushed(p, trans, horizon):
     return p / p.sum()
 
 
-def predict_obs(model: HmmModel, obs) -> np.ndarray:
-    """One-step-ahead symbol distribution P(y_{T+1} | y_{1:T})."""
-    return predict_state(model, obs, 1) @ model.emit
+def predict_obs(model, obs) -> np.ndarray:
+    """One-step-ahead symbol distribution P(y_{T+1} | y_{1:T}), over a coupled model's joint symbols."""
+    return predict_state(model, obs, 1) @ _joint_emission(model)
 
 
 @dataclass(frozen=True, eq=False)
@@ -422,7 +430,7 @@ def _systematic_resample(weights, rng):
 
 def _particle_filter(pi, trans, E, num_particles, seed, resample_threshold=0.5) -> ParticleFilterResult:
     """:func:`particle_filter` on the chain ``(pi, trans)``, weighing step t's particles by row ``E[t]``."""
-    K = int(num_particles)
+    K = _index(num_particles, "num_particles", ValueError)
     if K < 1:
         raise ValueError(f"num_particles must be >= 1, got {K}")
     _check_array_bytes("particle ensemble", K)
@@ -457,7 +465,7 @@ def _particle_filter(pi, trans, E, num_particles, seed, resample_threshold=0.5) 
 
 
 def particle_filter(
-    model: HmmModel, obs, num_particles: int, seed: int, resample_threshold: float = 0.5
+    model, obs, num_particles: int, seed: int, resample_threshold: float = 0.5
 ) -> ParticleFilterResult:
     """Bootstrap particle filter with systematic resampling.
 
@@ -472,5 +480,4 @@ def particle_filter(
     Raises DegenerateWeightsError when every particle has zero emission
     probability at some step.
     """
-    obs = validate_obs(model, obs)
-    return _particle_filter(model.pi, model.trans, model.emit.T[obs], num_particles, seed, resample_threshold)
+    return _particle_filter(*_chain(model, obs), num_particles, seed, resample_threshold)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inference import _expectations
-from .models import HmmModel, _validate_sequences
+from .models import HmmModel, _index, _validate_sequences
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,7 @@ class EmConfig:
     pseudocount: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "max_iterations", _index(self.max_iterations, "max_iterations", ValueError))
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.rel_tolerance <= 0.0:

@@ -61,10 +61,10 @@ def _is_integral(value):
         return False
 
 
-def _index(value, what):
-    """``int(value)``, or ModelValidationError naming ``what`` unless :func:`_is_integral` holds."""
+def _index(value, what, error=ModelValidationError):
+    """``int(value)``, or ``error`` naming ``what`` unless :func:`_is_integral` holds."""
     if not _is_integral(value):
-        raise ModelValidationError(f"{what} must be an integer, got {value!r}")
+        raise error(f"{what} must be an integer, got {value!r}")
     return int(value)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .models import ChmmModel, HmmModel, _check_array_bytes, nearest_neighbor_parents
+from .models import ChmmModel, HmmModel, _check_array_bytes, _index, nearest_neighbor_parents
 
 
 def _draw(cumulative, rng):
@@ -26,7 +26,7 @@ def sample(model, length: int, seed: int):
     Raises SizeCapError, before drawing anything, if one of them would not
     fit the byte budget.
     """
-    length = int(length)
+    length = _index(length, "length", ValueError)
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     rng = np.random.default_rng(seed)

@@ -206,17 +206,20 @@ def test_criterion_7_forward_linear_time_scaling():
     model = random_hmm(32, 4, rng)
     lengths = (1000, 2000, 4000)
     observations = {T: rng.integers(0, 4, size=T) for T in lengths}
-    times = {T: np.inf for T in lengths}
     for T in lengths:
         forward(model, observations[T])  # warm-up
-    # interleave repetitions so slow drift in machine load hits all lengths alike
-    for _ in range(9):
+    # Each repetition times the three lengths back to back and forms its own two
+    # ratios, so a load change between repetitions moves none of them; the median
+    # of each ratio then drops the repetitions that a burst of load hit.
+    ratios = []
+    for _ in range(11):
+        elapsed = []
         for T in lengths:
             start = time.perf_counter()
             forward(model, observations[T])
-            times[T] = min(times[T], time.perf_counter() - start)
-    r1 = times[2000] / times[1000]
-    r2 = times[4000] / times[2000]
+            elapsed.append(time.perf_counter() - start)
+        ratios.append((elapsed[1] / elapsed[0], elapsed[2] / elapsed[1]))
+    r1, r2 = np.median(ratios, axis=0)
     ok = 1.5 <= r1 <= 2.5 and 1.5 <= r2 <= 2.5
     _verdict(
         7,

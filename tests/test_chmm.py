@@ -1,5 +1,6 @@
 import itertools
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from dbnkit import (
     save_model,
     smooth,
 )
-from dbnkit.chmm import _joint_transition
+from dbnkit.convert import _joint_transition
 from dbnkit import chmm, models
 from dbnkit.cli import main
 from dbnkit.learning import normalize_rows
@@ -82,7 +83,7 @@ def test_backward_final_slice_ones_and_reconstruction():
     fwd = chmm_forward(m, obs)
     beta = chmm_backward(m, obs, fwd.scale_factors)
     assert np.array_equal(beta[-1], np.ones(4))
-    from dbnkit.chmm import _evidence_table, _joint_initial
+    from dbnkit.convert import _evidence_table, _joint_initial
 
     first = float(np.dot(_joint_initial(m) * _evidence_table(m, obs)[0], beta[0]))
     recon = np.log(first) + float(np.log(fwd.scale_factors[1:]).sum())
@@ -123,7 +124,7 @@ def test_size_cap_applies(monkeypatch):
     def never(model):
         raise AssertionError("joint transition built for an oversized model")
 
-    monkeypatch.setattr("dbnkit.chmm._joint_transition", never)
+    monkeypatch.setattr("dbnkit.convert._joint_transition", never)
     m = random_chmm([31] * 4, [2] * 4, np.random.default_rng(25))
     obs = np.zeros((3, 4), dtype=np.int64)
     for call in (
@@ -144,7 +145,7 @@ def test_em_checks_size_cap_before_building_joint_arrays(monkeypatch):
     def never(model):
         raise AssertionError("joint transition built for an oversized model")
 
-    monkeypatch.setattr("dbnkit.chmm._joint_transition", never)
+    monkeypatch.setattr("dbnkit.convert._joint_transition", never)
     rng = np.random.default_rng(27)
     m = random_chmm([2] * 14, [2] * 14, rng)
     with pytest.raises(SizeCapError):
@@ -261,8 +262,9 @@ def test_em_validates_each_sequence_once(monkeypatch):
         calls.append(1)
         return validate_obs(model, obs)
 
-    for module in ("dbnkit.models", "dbnkit.inference", "dbnkit.chmm"):
-        monkeypatch.setattr(f"{module}.validate_obs", counting)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "dbnkit" and getattr(module, "validate_obs", None) is validate_obs:
+            monkeypatch.setattr(module, "validate_obs", counting)
     rng = np.random.default_rng(28)
     config = EmConfig(max_iterations=4)
     hmm = random_hmm(3, 2, rng)

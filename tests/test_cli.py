@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dbnkit import HmmModel, cli, load_model, random_chmm, save_model, unroll_tbn
+from dbnkit import HmmModel, cli, convert, load_model, random_chmm, save_model, unroll_tbn
 from dbnkit.cli import main
 
 
@@ -265,6 +265,17 @@ def test_sample_refused_by_the_budget_opens_no_output_file(model_file, tmp_path,
     assert not states_path.exists()
 
 
+@pytest.mark.parametrize("states_name", ["same.txt", "./same.txt", "sub/../same.txt"])
+def test_sample_refuses_one_file_for_symbols_and_states(model_file, tmp_path, monkeypatch, capsys, states_name):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "same.txt").write_text("0 1\n")
+    args = ["--length", "5", "--count", "3", "--out", "same.txt", "--states-out", states_name]
+    assert main(["sample", "--model", model_file, *args]) == 1
+    assert capsys.readouterr() == ("", "usage error: --out and --states-out name the same file\n")
+    assert (tmp_path / "same.txt").read_text() == "0 1\n"
+
+
 def test_sample_peak_memory_does_not_grow_with_the_count(model_file, tmp_path):
     # Each draw is written as it is made.  Keeping the draws of --count 40
     # would add 72 paths of 8T bytes (36 draws, states and symbols), 144 KB,
@@ -393,7 +404,7 @@ def test_tbn2_unrolled_once_per_command(tbn_file, tmp_path, monkeypatch, capsys,
         calls.append(model)
         return unroll_tbn(model)
 
-    monkeypatch.setattr(cli, "unroll_tbn", counting_unroll)
+    monkeypatch.setattr(convert, "unroll_tbn", counting_unroll)
     assert main([command, "--model", tbn_file, "--obs", str(obs_path)]) == 0
     assert len(calls) == 1
     assert capsys.readouterr().out.count("\n\n") == (2 if command in ("smooth", "filter") else 0)

@@ -169,6 +169,9 @@ def test_predict_state_matches_enumeration(worked_model, worked_obs):
 def test_predict_state_rejects_bad_horizon(worked_model, worked_obs):
     with pytest.raises(ValueError):
         predict_state(worked_model, worked_obs, 0)
+    for horizon in (1.9, "1"):
+        with pytest.raises(ValueError, match=f"horizon must be an integer, got {horizon!r}"):
+            predict_state(worked_model, worked_obs, horizon)
 
 
 def test_predict_obs_normalized_and_uniform():
@@ -323,6 +326,9 @@ def test_particle_filter_resampled_follows_threshold_rule(worked_model, threshol
 def test_particle_filter_validates_arguments(worked_model, worked_obs):
     with pytest.raises(ValueError):
         particle_filter(worked_model, worked_obs, 0, seed=1)
+    for count in (2.7, "2"):
+        with pytest.raises(ValueError, match=f"num_particles must be an integer, got {count!r}"):
+            particle_filter(worked_model, worked_obs, count, seed=0)
     with pytest.raises(ValueError):
         particle_filter(worked_model, worked_obs, 10, seed=1, resample_threshold=1.5)
     # 10**12 particles would take 8 TB per ensemble array

@@ -141,6 +141,9 @@ def test_baum_welch_rejects_empty_sequences(worked_model):
 def test_em_config_validation():
     with pytest.raises(ValueError):
         EmConfig(max_iterations=0)
+    for count in (2.5, "3"):
+        with pytest.raises(ValueError, match=f"max_iterations must be an integer, got {count!r}"):
+            EmConfig(max_iterations=count)
     with pytest.raises(ValueError):
         EmConfig(rel_tolerance=0.0)
     with pytest.raises(ValueError):

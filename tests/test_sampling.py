@@ -50,6 +50,9 @@ def test_chmm_sampling_shape_and_determinism():
 def test_sample_rejects_bad_length(worked_model):
     with pytest.raises(ValueError):
         sample(worked_model, 0, seed=1)
+    for length in ("3", 2.5):
+        with pytest.raises(ValueError, match=f"length must be an integer, got {length!r}"):
+            sample(worked_model, length, seed=0)
 
 
 def test_random_models_are_valid():

@@ -23,7 +23,8 @@ from dbnkit import (
     sample,
 )
 from dbnkit import chmm, inference, learning, models
-from dbnkit.chmm import _chain_marginals, _evidence_table, _joint_chain, _safeguarded_update
+from dbnkit.chmm import _chain_marginals, _safeguarded_update
+from dbnkit.convert import _evidence_table, _joint_chain
 from dbnkit.learning import _m_step, _run_em
 
 # Interleaved lengths: T = 1 twice, lengths that occur once, and a length that recurs.
