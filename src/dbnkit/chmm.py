@@ -5,11 +5,11 @@ row-major indices (chain 0 slowest), whose evidence factorises over chains.
 Its joint chain and evidence tables come from
 :func:`dbnkit.convert._joint_view`, like every model's, so every query of
 :mod:`dbnkit.inference` and :mod:`dbnkit.decoding` takes a coupled model as
-it is.  ``chmm_forward`` and ``chmm_likelihood`` are ``forward`` and
-``log_likelihood`` under older names; ``chmm_backward`` returns the backward
-table, and ``chmm_smooth`` the smoothed posterior with each chain's
-marginal.  Coupled EM runs the E-step of :mod:`dbnkit.inference` on the
-same view, in the driver of :mod:`dbnkit.learning`.
+it is, on the route the CLI runs.  ``chmm_forward`` and ``chmm_likelihood``
+are ``forward`` and ``log_likelihood`` under older names; ``chmm_backward``
+returns the backward table, and ``chmm_smooth`` the CLI's smoothed posterior
+of one sequence with each chain's marginal.  Coupled EM runs the E-step of
+:mod:`dbnkit.inference` on the same view, in :mod:`dbnkit.learning`'s loop.
 """
 
 from __future__ import annotations
@@ -85,6 +85,8 @@ def chmm_em(init: ChmmModel, sequences, config: EmConfig = EmConfig()):
 
     Returns (trained model, EmTrace).
     """
+    if not isinstance(init, ChmmModel):
+        raise TypeError(f"chmm_em expects a ChmmModel, got {type(init).__name__}")
     return _run_em(init, sequences, config, _chmm_e_step, _safeguarded_update)
 
 

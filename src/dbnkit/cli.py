@@ -5,10 +5,11 @@ digits, rows in time order and columns in state order, so identical
 invocations are byte-identical and diffable.  Exit codes: 0 success,
 1 usage error, 2 data or model error.
 
-Every query runs on a model's joint chain and evidence tables, whatever
-the model type, from :func:`dbnkit.convert._joint_view`, the view every
-library query takes; the CLI never flattens a CHMM.  ``sample`` draws from
-a 2TBN's unrolled chain.
+Every query runs its route of :mod:`dbnkit.inference` or
+:mod:`dbnkit.decoding` on a file, over a model's joint chain and evidence
+tables, whatever the model type, from :func:`dbnkit.convert._joint_view`;
+the library's queries run the same routes on one sequence.  The CLI never
+flattens a CHMM.  ``sample`` draws from a 2TBN's unrolled chain.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import functools
 import itertools
 import os
 import sys
+from operator import attrgetter
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from . import chmm as chmm_mod
 from . import inference, learning
 from .convert import _joint_emission, _joint_view, unroll_tbn
 from .decoding import _viterbi_paths
-from .errors import DbnError, DegenerateWeightsError
+from .errors import DbnError
 from .io import format_obs, load_model, load_observations, parse_obs_line, save_model
 from .models import ChmmModel, HmmModel, Tbn2Model, _validate_sequences
 from .oracle import run_equivalence_checks
@@ -62,7 +64,7 @@ def _bounded(cast, accept, what):
 _positive_int = _bounded(int, lambda v: v > 0, "a positive integer")
 _nonnegative_int = _bounded(int, lambda v: v >= 0, "a nonnegative integer")
 _positive_float = _bounded(float, lambda v: v > 0, "a positive number")
-_nonnegative_float = _bounded(float, lambda v: v >= 0, "a nonnegative number")
+_finite_nonnegative_float = _bounded(float, lambda v: 0 <= v < np.inf, "a finite nonnegative number")
 
 
 def _fmt(x) -> str:
@@ -229,25 +231,18 @@ def _cmd_likelihood(args):
 
 
 def _cmd_filter(args):
-    pi, trans, sequences, evidence = _query_inputs(load_model(args.model), args.obs)
+    inputs = _query_inputs(load_model(args.model), args.obs)
+    # map, not a generator expression, whose loop variable would keep a stack while the next one runs
     if args.particles is None:
-        _print_tables(inference._filtered(pi, trans, sequences, evidence))
-        return 0
-
-    def estimates():
-        for i, seq in enumerate(sequences):
-            try:
-                result = inference._particle_filter(pi, trans, evidence(seq), args.particles, args.seed)
-            except DegenerateWeightsError as err:
-                raise DegenerateWeightsError(err.t, f"sequence {i}: {err}") from err
-            yield result.estimates
-
-    _print_tables(estimates())
+        tables = map(attrgetter("scaled_alpha"), inference._filtered(*inputs))
+    else:
+        tables = map(attrgetter("estimates"), inference._particle_filters(*inputs, args.particles, args.seed))
+    _print_tables(tables)
     return 0
 
 
 def _cmd_smooth(args):
-    _print_tables(inference._smoothed(*_query_inputs(load_model(args.model), args.obs)))
+    _print_tables(map(attrgetter("gamma"), inference._smoothed(*_query_inputs(load_model(args.model), args.obs))))
     return 0
 
 
@@ -255,10 +250,9 @@ def _cmd_predict(args):
     if args.observation and args.horizon != 1:
         raise _UsageError("--observation predicts one step ahead; --horizon must be 1")
     model = load_model(args.model)
-    pi, trans, sequences, evidence = _query_inputs(model, args.obs)
+    inputs = _query_inputs(model, args.obs)
     emit = _joint_emission(model) if args.observation else None
-    for alpha in inference._filtered(pi, trans, sequences, evidence):
-        p = inference._pushed(alpha[-1], trans, args.horizon)
+    for p in inference._predicted(*inputs, args.horizon):
         _print_row(p @ emit if args.observation else p)
     return 0
 
@@ -342,7 +336,7 @@ def _build_parser():
         p.add_argument("--out", required=True, help="trained model file to write")
         p.add_argument("--max-iters", type=_positive_int, default=200)
         p.add_argument("--tol", type=_positive_float, default=1e-6)
-        p.add_argument("--pseudocount", type=_nonnegative_float, default=0.0)
+        p.add_argument("--pseudocount", type=_finite_nonnegative_float, default=0.0)
 
     p = sub.add_parser("oracle-check", help="equivalence suite vs brute-force enumeration")
     p.set_defaults(func=_cmd_oracle_check)

@@ -3,11 +3,11 @@
 Scores are kept in log space throughout; probability-space recursions
 underflow for sequences of a few hundred steps.  Every max and argmax
 breaks ties toward the smallest state index.  Like the forward recursion,
-the recursion runs over a time-major stack of log evidence tables, and a
-single sequence is a stack of one.  ``viterbi`` and the CLI decode every
-model, a CHMM included, on the joint chain and evidence tables that
-inference runs on, the CLI in the same stacks (see
-:func:`dbnkit.inference._in_length_stacks`).
+the recursion runs over a time-major stack of log evidence tables.  Every
+model, a CHMM included, is decoded on the joint chain and evidence tables
+that inference runs on, in the same stacks (see
+:func:`dbnkit.inference._in_length_stacks`), by one route: the CLI runs it
+on a file, and ``viterbi`` on a stack of one.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ImpossibleObservationError
-from .inference import _chain, _in_length_stacks
+from .inference import _in_length_stacks, _one
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,10 +94,4 @@ def _viterbi_paths(pi, trans, sequences, evidence):
 
 def viterbi(model, obs) -> DecodeResult:
     """Most probable hidden state path for a full observation sequence; a coupled model's is over joint states."""
-    pi, trans, E = _chain(model, obs)
-    with np.errstate(divide="ignore"):
-        log_pi, log_trans, log_E = np.log(pi), np.log(trans), np.log(E[:, None])
-    paths, scores, first = _viterbi_stack(log_pi, log_trans, log_E)
-    if first[0] < E.shape[0]:
-        raise ImpossibleObservationError(int(first[0]))
-    return DecodeResult(paths[0], scores[0])
+    return _one(_viterbi_paths, model, obs)

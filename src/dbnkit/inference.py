@@ -8,14 +8,16 @@ smoothed posterior simply the elementwise product of the two scaled tables.
 The recursion is written once, over a time-major stack of evidence tables
 ``E[t, b, i]``, the probability of step t's observation of sequence b in
 state i, so each step works on one contiguous block; a single sequence is a
-stack of one.  Every public query takes its chain and evidence from
+stack of one.  Every query takes its chain and evidence from
 :func:`dbnkit.convert._joint_view`, so it accepts an HMM, a coupled HMM or a
 2TBN: an HMM's tables are its emission columns (``emit.T[obs]``), a coupled
-HMM's the products of its per-chain columns.  Baum-Welch and coupled EM share
-its E-step, and the CLI's multi-sequence queries share its log-likelihood,
-filtering, smoothing and prediction routes, which stack the sequences of each
-length within consecutive windows of a file that fit the byte budget, and run
-every table of a stack in the same step.
+HMM's the products of its per-chain columns.  Each query has one route over
+``(pi, trans, sequences, evidence)``, which stacks the sequences of each
+length within consecutive windows of a file that fit the byte budget, runs
+every table of a stack in the same step, and yields the query's result for
+each sequence.  The CLI runs a route on a file, and each public query runs
+it on a list of one sequence (:func:`_one`).  Baum-Welch and coupled EM
+share its E-step.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ class PosteriorResult:
 
     ``gamma[t, i]`` is P(x_t = i | y_{1:T}); ``xi[t, i, j]`` is
     P(x_t = i, x_{t+1} = j | y_{1:T}), so xi has T-1 slices.  xi is built
-    from the pairwise weights of :func:`_smooth_one` when first read, and
+    from the pairwise weights of :func:`_posterior_stack` when first read, and
     reading it raises SizeCapError if it would not fit
     ``models.MAX_ARRAY_BYTES``.
     """
@@ -79,7 +81,7 @@ class PosteriorResult:
     pair_weights: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        _freeze(self.gamma, self.pair_weights)
+        _freeze(self.gamma, self.scaled_alpha, self.pair_weights)
 
     @cached_property
     def xi(self) -> np.ndarray:
@@ -156,21 +158,6 @@ def _posterior_stack(trans, E, alpha, scale):
 def _sequence_log_likelihoods(scale):
     """Per-table sums of log scale factors, each along a contiguous row, which numpy adds pairwise."""
     return np.log(np.ascontiguousarray(scale.T)).sum(axis=1).tolist()
-
-
-def _forward_one(pi, trans, E) -> ForwardResult:
-    """The forward pass over one evidence table ``E[T, n]``, as a stack of one."""
-    alpha, scale, first = _forward_stack(pi, trans, E[:, None])
-    if first[0] < E.shape[0]:
-        raise ImpossibleObservationError(int(first[0]))
-    return ForwardResult(alpha[:, 0], scale[:, 0], _sequence_log_likelihoods(scale)[0])
-
-
-def _smooth_one(pi, trans, E):
-    """Forward pass, gamma and pairwise weights over one evidence table, which it overwrites."""
-    fwd = _forward_one(pi, trans, E)
-    gamma, w = _posterior_stack(trans, E[:, None], fwd.scaled_alpha[:, None], fwd.scale_factors[:, None])
-    return fwd, gamma[:, 0], w[:, 0]
 
 
 def _budget_windows(sequences, cap, width):
@@ -273,16 +260,47 @@ def _log_likelihoods(pi, trans, sequences, evidence):
 
 
 def _filtered(pi, trans, sequences, evidence):
-    """Yield each sequence's filtered table alpha ``[T, n]``, in order, from length-stacked forward passes."""
-    return _grouped(pi, trans, sequences, evidence, 0, lambda obs, E, alpha, scale: alpha.transpose(1, 0, 2))
+    """Yield each sequence's ForwardResult, in order, from length-stacked forward passes."""
+
+    def finish(obs, E, alpha, scale):
+        return map(ForwardResult, alpha.transpose(1, 0, 2), scale.T, _sequence_log_likelihoods(scale))
+
+    return _grouped(pi, trans, sequences, evidence, 0, finish)
 
 
 def _smoothed(pi, trans, sequences, evidence):
-    """Yield each sequence's smoothed table gamma ``[T, n]``, in order, from stacked forward-backward."""
-    return _grouped(
-        pi, trans, sequences, evidence, 0,
-        lambda obs, E, alpha, scale: _posterior_stack(trans, E, alpha, scale)[0].transpose(1, 0, 2),
-    )
+    """Yield each sequence's PosteriorResult, in order, from stacked forward-backward."""
+
+    def finish(obs, E, alpha, scale):
+        gamma, w = _posterior_stack(trans, E, alpha, scale)
+        return [PosteriorResult(gamma[:, b], alpha[:, b], trans, w[:, b]) for b in range(alpha.shape[1])]
+
+    return _grouped(pi, trans, sequences, evidence, 0, finish)
+
+
+def _predicted(pi, trans, sequences, evidence, horizon):
+    """Yield each sequence's last filtered row, pushed ``horizon`` times through ``trans`` and normalized."""
+
+    def pushed(p):
+        for _ in range(horizon):
+            p = p @ trans
+        return p / p.sum()
+
+    return _grouped(pi, trans, sequences, evidence, 0, lambda obs, E, alpha, scale: map(pushed, alpha[-1]))
+
+
+def _one(route, model, obs, *args):
+    """The item that ``route``, a query's route over a file, yields on the list of one sequence ``obs``.
+
+    ``obs`` is validated once.  An impossible step or a degenerate ensemble is
+    raised with the one-sequence message, which names no sequence.
+    """
+    obs = validate_obs(model, obs)
+    pi, trans, evidence = _joint_view(model)
+    try:
+        return next(route(pi, trans, [obs], evidence, *args))
+    except (ImpossibleObservationError, DegenerateWeightsError) as err:
+        raise type(err)(err.t) from None
 
 
 def _checked_scale(scale_factors, T):
@@ -295,13 +313,6 @@ def _checked_scale(scale_factors, T):
     return scale_factors
 
 
-def _chain(model, obs):
-    """``(pi, trans, E)``: the joint chain of any model and the evidence table of one sequence, validated once."""
-    obs = validate_obs(model, obs)
-    pi, trans, evidence = _joint_view(model)
-    return pi, trans, evidence(obs)
-
-
 def forward(model, obs) -> ForwardResult:
     """Run the scaled forward recursion.
 
@@ -310,7 +321,7 @@ def forward(model, obs) -> ForwardResult:
     in the new emission column.  Raises ImpossibleObservationError at the
     first step whose total probability is exactly zero.
     """
-    return _forward_one(*_chain(model, obs))
+    return _one(_filtered, model, obs)
 
 
 def backward(model, obs, scale_factors) -> BackwardResult:
@@ -319,14 +330,16 @@ def backward(model, obs, scale_factors) -> BackwardResult:
     Row t holds beta_t divided by c_{t+1} * ... * c_T, which is exactly the
     scaling that makes gamma_t proportional to scaled_alpha_t * scaled_beta_t.
     """
-    _, trans, E = _chain(model, obs)
+    obs = validate_obs(model, obs)
+    _, trans, evidence = _joint_view(model)
+    E = evidence(obs)
     scale_factors = _checked_scale(scale_factors, E.shape[0])
     return BackwardResult(_backward_stack(trans, E[:, None], scale_factors[:, None])[:, 0])
 
 
 def log_likelihood(model, obs) -> float:
     """log P(obs) under the model, via the scaled forward pass."""
-    return forward(model, obs).log_likelihood
+    return _one(_log_likelihoods, model, obs)
 
 
 def filter(model, obs) -> np.ndarray:
@@ -336,9 +349,7 @@ def filter(model, obs) -> np.ndarray:
 
 def smooth(model, obs) -> PosteriorResult:
     """Full-sequence smoothing: gamma, plus pairwise xi built when it is read."""
-    pi, trans, E = _chain(model, obs)
-    fwd, gamma, w = _smooth_one(pi, trans, E)
-    return PosteriorResult(gamma, fwd.scaled_alpha, trans, w)
+    return _one(_smoothed, model, obs)
 
 
 def predict_state(model, obs, horizon: int = 1) -> np.ndarray:
@@ -350,15 +361,7 @@ def predict_state(model, obs, horizon: int = 1) -> np.ndarray:
     horizon = _index(horizon, "horizon", ValueError)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    pi, trans, E = _chain(model, obs)
-    return _pushed(_forward_one(pi, trans, E).scaled_alpha[-1], trans, horizon)
-
-
-def _pushed(p, trans, horizon):
-    """The state distribution ``p`` pushed ``horizon`` times through ``trans``, then normalized."""
-    for _ in range(horizon):
-        p = p @ trans
-    return p / p.sum()
+    return _one(_predicted, model, obs, horizon)
 
 
 def predict_obs(model, obs) -> np.ndarray:
@@ -464,6 +467,15 @@ def _particle_filter(pi, trans, E, num_particles, seed, resample_threshold=0.5) 
     return ParticleFilterResult(estimates, ess, resampled, x, w)
 
 
+def _particle_filters(pi, trans, sequences, evidence, num_particles, seed, resample_threshold=0.5):
+    """Yield :func:`_particle_filter`'s result for each sequence, in order; an error names the sequence."""
+    for i, obs in enumerate(sequences):
+        try:
+            yield _particle_filter(pi, trans, evidence(obs), num_particles, seed, resample_threshold)
+        except DegenerateWeightsError as err:
+            raise DegenerateWeightsError(err.t, f"sequence {i}: {err}") from err
+
+
 def particle_filter(
     model, obs, num_particles: int, seed: int, resample_threshold: float = 0.5
 ) -> ParticleFilterResult:
@@ -480,4 +492,4 @@ def particle_filter(
     Raises DegenerateWeightsError when every particle has zero emission
     probability at some step.
     """
-    return _particle_filter(*_chain(model, obs), num_particles, seed, resample_threshold)
+    return _one(_particle_filters, model, obs, num_particles, seed, resample_threshold)

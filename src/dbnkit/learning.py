@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .convert import _joint_view
 from .inference import _expectations
 from .models import HmmModel, _index, _validate_sequences
 
@@ -35,10 +36,10 @@ class EmConfig:
         object.__setattr__(self, "max_iterations", _index(self.max_iterations, "max_iterations", ValueError))
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.rel_tolerance <= 0.0:
+        if not self.rel_tolerance > 0.0:  # NaN included
             raise ValueError(f"rel_tolerance must be positive, got {self.rel_tolerance}")
-        if self.pseudocount < 0.0:
-            raise ValueError(f"pseudocount must be nonnegative, got {self.pseudocount}")
+        if not 0.0 <= self.pseudocount < np.inf:
+            raise ValueError(f"pseudocount must be finite and nonnegative, got {self.pseudocount}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,8 +81,8 @@ def mle_complete(data, num_states: int, num_symbols: int, pseudocount: float = 0
     """
     if not data:
         raise ValueError("data must contain at least one (states, observations) pair")
-    if pseudocount < 0.0:
-        raise ValueError(f"pseudocount must be nonnegative, got {pseudocount}")
+    if not 0.0 <= pseudocount < np.inf:
+        raise ValueError(f"pseudocount must be finite and nonnegative, got {pseudocount}")
     init = np.zeros(num_states)
     trans = np.zeros((num_states, num_states))
     emit = np.zeros((num_states, num_symbols))
@@ -119,9 +120,8 @@ def _e_step(model, sequences):
 
     initial, transitions, emissions = np.zeros(n), np.zeros((n, n)), np.zeros((n, m))
     total_ll = 0.0
-    per_sequence = _expectations(
-        model.pi, model.trans, sequences, lambda obs: model.emit.T[obs], summarize, max(n, m)
-    )
+    pi, trans, evidence = _joint_view(model)
+    per_sequence = _expectations(pi, trans, sequences, evidence, summarize, max(n, m))
     for gamma0, xi_sum, emis, ll in per_sequence:
         total_ll += ll
         initial += gamma0
@@ -151,6 +151,8 @@ def baum_welch(init: HmmModel, sequences, config: EmConfig = EmConfig()):
 
     Returns (trained model, EmTrace).
     """
+    if not isinstance(init, HmmModel):
+        raise TypeError(f"baum_welch expects an HmmModel, got {type(init).__name__}")
     return _run_em(
         init, sequences, config, _e_step,
         lambda model, counts, sequences, ll, pseudocount: _m_step(counts, pseudocount),

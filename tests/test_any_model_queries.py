@@ -6,12 +6,16 @@ built by a separate route, so only its Viterbi paths must match exactly).
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from dbnkit import (
     ChmmModel,
+    DegenerateWeightsError,
+    HmmModel,
+    ImpossibleObservationError,
     Tbn2Model,
     TbnVariable,
     backward,
@@ -19,6 +23,7 @@ from dbnkit import (
     flatten_chmm,
     flatten_obs,
     forward,
+    hmm_to_chmm,
     log_likelihood,
     particle_filter,
     predict_obs,
@@ -127,3 +132,30 @@ def test_chmm_predict_observation_rows_are_unchanged(tmp_path, capsys):
         "0.220642171694\t0.148852707738\t0.225991600772\t0.155993594472\t0.105789953462\t0.142729971862\n"
     )
     assert out == "".join("\t".join(format(v, ".12g") for v in predict_obs(model, obs)) + "\n" for obs in sequences)
+
+
+@pytest.mark.parametrize("kind", ["hmm", "chmm", "tbn2"])
+@pytest.mark.parametrize(
+    "query", ["forward", "filter", "log_likelihood", "smooth", "predict_state", "predict_obs", "viterbi", "particle_filter"]
+)
+def test_a_one_sequence_query_raises_the_one_sequence_message(query, kind):
+    # Each query runs the CLI's route on a list of one sequence, whose errors name
+    # the sequence; the query's own message names none.  Every model stays in
+    # state 0, where symbol 1 is impossible, so step 2 has zero mass.
+    hmm = HmmModel(pi=[1.0, 0.0], trans=np.eye(2), emit=np.eye(2))
+    model, obs = {
+        "hmm": (hmm, [0, 0, 1, 0]),
+        "chmm": (hmm_to_chmm(hmm), [[0], [0], [1], [0]]),
+        "tbn2": (
+            Tbn2Model(variables=[TbnVariable(card=2, init_parents=(), init_cpt=[[1.0, 0.0]],
+                                             trans_parents=((0, 0),), trans_cpt=np.eye(2))]),
+            [0, 0, 1, 0],
+        ),
+    }[kind]
+    if query == "particle_filter":
+        error, message = DegenerateWeightsError, "all particle weights are zero at time step 2"
+    else:
+        error, message = ImpossibleObservationError, "observation at time step 2 is impossible under the model"
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as exc:
+        QUERIES[query](model, obs)
+    assert exc.value.t == 2

@@ -123,6 +123,7 @@ def test_usage_error_exit_code(model_file, capsys):
         ["train", "--model", "{model}", "--obs", "0 1", "--out", "{out}", "--tol", "nan"],
         ["train", "--model", "{model}", "--obs", "0 1", "--out", "{out}", "--pseudocount", "-0.5"],
         ["oracle-check", "--count", "0"],
+        ["train", "--model", "{model}", "--obs", "0 1", "--out", "{out}", "--pseudocount", "inf"],
     ],
 )
 def test_out_of_range_number_is_a_usage_error(model_file, tmp_path, capsys, argv):

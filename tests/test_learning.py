@@ -59,6 +59,9 @@ def test_mle_rejects_bad_input():
         mle_complete([], 2, 2)
     with pytest.raises(ValueError, match="out of range"):
         mle_complete([(np.array([0, 5]), np.array([0, 0]))], 2, 2)
+    for count in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="pseudocount must be finite and nonnegative"):
+            mle_complete([(np.array([0, 1]), np.array([0, 0]))], 2, 2, pseudocount=count)
 
 
 def test_mle_recovers_generating_model():
@@ -144,10 +147,23 @@ def test_em_config_validation():
     for count in (2.5, "3"):
         with pytest.raises(ValueError, match=f"max_iterations must be an integer, got {count!r}"):
             EmConfig(max_iterations=count)
-    with pytest.raises(ValueError):
-        EmConfig(rel_tolerance=0.0)
-    with pytest.raises(ValueError):
-        EmConfig(pseudocount=-1.0)
+    for tolerance in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="rel_tolerance must be positive"):
+            EmConfig(rel_tolerance=tolerance)
+    for count in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="pseudocount must be finite and nonnegative"):
+            EmConfig(pseudocount=count)
+    assert EmConfig(rel_tolerance=float("inf")).rel_tolerance == float("inf")
+
+
+def test_em_on_the_wrong_model_type_is_a_type_error_before_any_sequence_is_read():
+    hmm = HmmModel(pi=[1.0], trans=[[1.0]], emit=[[1.0, 0.0]])
+    chmm = hmm_to_chmm(hmm)
+    bad = [np.array([7, 7])]  # out of range for both models
+    with pytest.raises(TypeError, match="^baum_welch expects an HmmModel, got ChmmModel$"):
+        baum_welch(chmm, bad)
+    with pytest.raises(TypeError, match="^chmm_em expects a ChmmModel, got HmmModel$"):
+        chmm_em(hmm, bad)
 
 
 def test_baum_welch_converges_flag():

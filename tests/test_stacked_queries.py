@@ -357,7 +357,7 @@ def test_stacked_smooth_peak_memory_stays_within_four_stacks():
     emit_T = model.emit.T
 
     def run():
-        tables = list(inference._smoothed(model.pi, model.trans, seqs, lambda obs: emit_T[obs]))
+        tables = [r.gamma for r in inference._smoothed(model.pi, model.trans, seqs, lambda obs: emit_T[obs])]
         assert all(g.shape == (T, n) for g in tables)
 
     run()
@@ -387,9 +387,9 @@ def test_streamed_smooth_peak_memory_is_bounded_by_the_budget_not_the_file(monke
         seqs = [long, short] + [long] * count
         tracemalloc.start()
         try:
-            for gamma in inference._smoothed(model.pi, model.trans, seqs, lambda obs: emit_T[obs]):
-                assert gamma.shape[1] == n  # read, then dropped, as the CLI does
-                del gamma
+            for result in inference._smoothed(model.pi, model.trans, seqs, lambda obs: emit_T[obs]):
+                assert result.gamma.shape[1] == n  # read, then dropped, as the CLI does
+                del result
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
