@@ -1,11 +1,11 @@
 """Coupled HMMs: EM over the joint chain, and the chain marginals of its posterior.
 
 A coupled HMM is an HMM over joint chain-state tuples, stored as flat
-row-major indices (chain 0 slowest), whose evidence factorises over chains.
-Its joint chain and evidence tables come from
-:func:`dbnkit.convert._joint_view`, like every model's, so every query of
-:mod:`dbnkit.inference` and :mod:`dbnkit.decoding` takes a coupled model as
-it is, on the route the CLI runs.  ``chmm_forward`` and ``chmm_likelihood``
+indices that only :mod:`dbnkit.convert` lays out, builds and reads, whose
+evidence factorises over chains.  Its joint chain and evidence tables come
+from :func:`dbnkit.convert._joint_view`, like every model's, so every query
+of :mod:`dbnkit.inference` and :mod:`dbnkit.decoding` takes a coupled model
+as it is, on the route the CLI runs.  ``chmm_forward`` and ``chmm_likelihood``
 are ``forward`` and ``log_likelihood`` under older names; ``chmm_backward``
 returns the backward table, and ``chmm_smooth`` the CLI's smoothed posterior
 of one sequence with each chain's marginal.  Coupled EM runs the E-step of
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convert import _joint_view
+from .convert import _chain_marginals, _joint_view, _pair_marginals
 from .inference import _expectations, _freeze, _log_likelihoods, backward, forward, log_likelihood, smooth
 from .learning import EmConfig, _run_em, normalize_rows
 from .models import ChmmModel
@@ -55,17 +55,6 @@ def chmm_smooth(model: ChmmModel, obs) -> ChmmPosterior:
     return ChmmPosterior(gamma, _chain_marginals(model, gamma))
 
 
-def _chain_marginals(model, gamma):
-    sizes = model.states_per_chain
-    L = model.num_chains
-    shaped = gamma.reshape((gamma.shape[0],) + sizes)
-    out = []
-    for l in range(L):
-        axes = tuple(1 + k for k in range(L) if k != l)
-        out.append(shaped.sum(axis=axes) if axes else shaped.copy())
-    return tuple(out)
-
-
 def chmm_em(init: ChmmModel, sequences, config: EmConfig = EmConfig()):
     """EM for coupled HMMs over the joint chain.
 
@@ -91,31 +80,24 @@ def chmm_em(init: ChmmModel, sequences, config: EmConfig = EmConfig()):
 
 
 def _chmm_e_step(model, sequences):
-    sizes = model.states_per_chain
-    symbols = model.symbols_per_chain
-    L = model.num_chains
-    pi, trans, evidence = _joint_view(model)
-    init_counts = [np.zeros(sizes[l]) for l in range(L)]
-    emit_counts = [np.zeros((sizes[l], symbols[l])) for l in range(L)]
+    def summarize(obs, gamma, xi_sums, lls):
+        # One sum per stack: its row b has the bits of sequence b's own sum.
+        chains, pairs = _chain_marginals(model, gamma), _pair_marginals(model, xi_sums)
+        return [([g[:, b] for g in chains], {k: p[b] for k, p in pairs.items()}, ll) for b, ll in enumerate(lls)]
+
+    init_counts = [np.zeros(p.shape) for p in model.initials]
+    emit_counts = [np.zeros(e.shape) for e in model.emissions]
     pair_counts = {key: np.zeros(mat.shape) for key, mat in model.couplings.items()}
     total_ll = 0.0
-    per_sequence = _expectations(
-        pi, trans, sequences, evidence,
-        lambda obs, gamma, xi_sums, lls: [
-            (_chain_marginals(model, g), xi_sum, ll)
-            for g, xi_sum, ll in zip(gamma.transpose(1, 0, 2), xi_sums, lls)
-        ],
-        trans.shape[0],
-    )
-    for obs, (chain_gammas, xi_sum, ll) in zip(sequences, per_sequence):
+    pi, trans, evidence = _joint_view(model)
+    per_sequence = _expectations(pi, trans, sequences, evidence, summarize, trans.shape[0])
+    for obs, (chain_gammas, pairs, ll) in zip(sequences, per_sequence):
         total_ll += ll
-        for l in range(L):
-            init_counts[l] += chain_gammas[l][0]
-            np.add.at(emit_counts[l].T, obs[:, l], chain_gammas[l])
-        shaped = xi_sum.reshape(sizes + sizes)
-        for (k, l) in pair_counts:
-            axes = tuple(i for i in range(2 * L) if i != k and i != L + l)
-            pair_counts[(k, l)] += shaped.sum(axis=axes)
+        for l, g in enumerate(chain_gammas):
+            init_counts[l] += g[0]
+            np.add.at(emit_counts[l].T, obs[:, l], g)
+        for key, counts in pairs.items():
+            pair_counts[key] += counts
     return (init_counts, emit_counts, pair_counts), total_ll
 
 

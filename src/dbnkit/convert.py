@@ -1,13 +1,13 @@
-"""Every model as a single joint-state chain.
+"""Every model as a single joint-state chain, and the one layout of its joint indices.
 
 Joint indices are row-major over the component order (component 0 varies
-slowest), for both states and symbols.  :func:`_joint_view` gives every
-query its model's chain and evidence: an HMM's own, a 2TBN unrolled, or a
-coupled HMM's joint chain, whose transition broadcasts each chain's table
-from its parents' source axes onto its own destination axis.
-``flatten_chmm`` gathers the same tables by joint-state digits instead: a
-second, structurally different route to the same distributions, which no
-query takes and which the tests and the oracle compare against.
+slowest), for both states and symbols; only this module builds or reads
+them.  :func:`_joint_view` gives every query its model's chain and evidence,
+a coupled HMM's joint transition broadcast from its chain tables.  Its other
+tables are one :func:`_product` over chains, and :func:`_marginal` reads
+chain and coupling-pair marginals back.  ``flatten_chmm`` gathers the same
+tables by joint-state digits instead: a second, structurally different route,
+which no query takes and which the tests and the oracle compare against.
 """
 
 from __future__ import annotations
@@ -141,11 +141,34 @@ def _joint_transition(model: ChmmModel):
     return out.reshape(n, n)
 
 
+def _product(factors):
+    """Per-component factors ``[..., j]`` multiplied, left to right, over the joint index of their last axes."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = (out[..., :, None] * f[..., None, :]).reshape(out.shape[:-1] + (-1,))
+    return out
+
+
+def _marginal(table, sizes, keep):
+    """Sum the joint index of ``table``'s last axis, over components of ``sizes``, onto those in ``keep``."""
+    drop = tuple(table.ndim - 1 + k for k in range(len(sizes)) if k not in keep)
+    return table.reshape(table.shape[:-1] + tuple(sizes)).sum(axis=drop)
+
+
+def _chain_marginals(model: ChmmModel, table):
+    """Each chain's marginal of a table over joint states (its last axis)."""
+    return tuple(_marginal(table, model.states_per_chain, (l,)) for l in range(model.num_chains))
+
+
+def _pair_marginals(model: ChmmModel, xi_sums):
+    """Each coupling (k, l)'s marginal, source chain k by destination chain l, of ``xi_sums[..., n, n]``."""
+    sizes = model.states_per_chain
+    flat = xi_sums.reshape(xi_sums.shape[:-2] + (-1,))
+    return {(k, l): _marginal(flat, sizes + sizes, (k, len(sizes) + l)) for k, l in model.couplings}
+
+
 def _joint_initial(model: ChmmModel):
-    vec = None
-    for p in model.initials:
-        vec = p if vec is None else np.multiply.outer(vec, p)
-    return vec.reshape(-1)
+    return _product(model.initials)
 
 
 def _evidence_table(model: ChmmModel, obs):
@@ -153,11 +176,7 @@ def _evidence_table(model: ChmmModel, obs):
 
     ``obs`` is one sequence ``[T, L]`` or a time-major stack ``[T, B, L]``.
     """
-    E = None
-    for l in range(model.num_chains):
-        cols = model.emissions[l].T[obs[..., l]]
-        E = cols if E is None else (E[..., :, None] * cols[..., None, :]).reshape(obs.shape[:-1] + (-1,))
-    return E
+    return _product([emit.T[obs[..., l]] for l, emit in enumerate(model.emissions)])
 
 
 def _joint_view(model):

@@ -310,6 +310,12 @@ def _checked_scale(scale_factors, T):
             f"scale_factors must have length {T} to match the observations, "
             f"got shape {scale_factors.shape}"
         )
+    bad = np.flatnonzero(~((scale_factors > 0.0) & (scale_factors < np.inf)))
+    if bad.size:
+        t = int(bad[0])
+        raise ValueError(
+            f"scale_factors must be finite and positive, as forward's are; step {t} has {scale_factors[t]}"
+        )
     return scale_factors
 
 

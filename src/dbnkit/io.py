@@ -185,8 +185,8 @@ def parse_obs_line(text, ctx="observation"):
 
     Space-separated symbol indices; per-chain symbols within one step are
     comma-joined.  Returns a 1-D int array, or (T, L) when commas appear.
-    Negative or non-integer tokens, and symbols above 2**63 - 1, are
-    rejected (missing values are not supported).
+    Tokens other than ASCII decimal digits, negative ones included, and
+    symbols above 2**63 - 1, are rejected (missing values are not supported).
     """
     tokens = text.split()
     if not tokens:
@@ -211,18 +211,17 @@ _MAX_SYMBOL = 2**63 - 1  # symbols are stored as int64
 
 
 def _parse_symbol(token, ctx, step):
-    try:
-        value = int(token)
-    except ValueError:
-        raise ModelFormatError(
-            f"{ctx}: step {step}: {token!r} is not an integer symbol"
-        ) from None
-    if value < 0:
-        raise ModelFormatError(
-            f"{ctx}: step {step}: negative symbol {value}; missing observations are not supported"
-        )
+    # ASCII decimal digits only: int() would also take "+", "_" separators and non-ASCII digits.
+    if not (token.isascii() and token.isdigit()):
+        if token[:1] == "-" and token[1:].isascii() and token[1:].isdigit():
+            raise ModelFormatError(
+                f"{ctx}: step {step}: negative symbol {token}; missing observations are not supported"
+            )
+        raise ModelFormatError(f"{ctx}: step {step}: {token!r} is not an integer symbol")
+    # int() refuses over 4300 digits, and 20 significant digits are past every int64.
+    value = int(token) if len(token) <= 19 else int(token.lstrip("0")[:20] or "0")
     if value > _MAX_SYMBOL:
-        raise ModelFormatError(f"{ctx}: step {step}: symbol {value} does not fit in 64 bits")
+        raise ModelFormatError(f"{ctx}: step {step}: symbol {token} does not fit in 64 bits")
     return value
 
 

@@ -98,11 +98,7 @@ def mle_complete(data, num_states: int, num_symbols: int, pseudocount: float = 0
         init[states[0]] += 1.0
         np.add.at(trans, (states[:-1], states[1:]), 1.0)
         np.add.at(emit, (states, symbols), 1.0)
-    return HmmModel(
-        pi=normalize_rows(init[None, :], pseudocount)[0],
-        trans=normalize_rows(trans, pseudocount),
-        emit=normalize_rows(emit, pseudocount),
-    )
+    return _m_step((init, trans, emit), pseudocount)
 
 
 def _e_step(model, sequences):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -81,6 +82,14 @@ def test_backward_scale_length_mismatch(worked_model, worked_obs):
         backward(worked_model, worked_obs, np.ones(5))
     with pytest.raises(ValueError, match="scale_factors"):
         chmm_backward(hmm_to_chmm(worked_model), worked_obs[:, None], np.ones(5))
+    # A forward pass that succeeds gives finite, positive factors; the first other entry is named.
+    for bad in (np.nan, -1.0, 0.0, np.inf):
+        scale = np.array([0.5, bad, bad])
+        want = f"scale_factors must be finite and positive, as forward's are; step 1 has {bad}"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            backward(worked_model, worked_obs, scale)
+        with pytest.raises(ValueError, match=re.escape(want)):
+            chmm_backward(hmm_to_chmm(worked_model), worked_obs[:, None], scale)
 
 
 def test_filter_perfect_observability():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -160,10 +162,10 @@ def test_observation_round_trip(tmp_path):
 
 
 def test_parse_rejects_non_integer():
-    with pytest.raises(ModelFormatError, match="not an integer"):
-        parse_obs_line("0 x 1")
-    with pytest.raises(ModelFormatError, match="not an integer"):
-        parse_obs_line("0 1.5 1")
+    # Python's int() accepts a sign, "_" separators and non-ASCII digits (U+0663 is Arabic-Indic 3).
+    for token in ["x", "1.5", "+1", "1_0", "\u0663", "0x1", "--1"]:
+        with pytest.raises(ModelFormatError, match=re.escape(f"step 1: {token!r} is not an integer symbol")):
+            parse_obs_line(f"0 {token} 1")
 
 
 def test_parse_rejects_negative_as_missing():

@@ -23,8 +23,8 @@ from dbnkit import (
     sample,
 )
 from dbnkit import chmm, inference, learning, models
-from dbnkit.chmm import _chain_marginals, _safeguarded_update
-from dbnkit.convert import _evidence_table, _joint_chain
+from dbnkit.chmm import _safeguarded_update
+from dbnkit.convert import _marginal, flatten_chmm, flatten_obs
 from dbnkit.learning import _m_step, _run_em
 
 # Interleaved lengths: T = 1 twice, lengths that occur once, and a length that recurs.
@@ -83,18 +83,24 @@ def _ref_e_step(model, sequences):
     return (initial, transitions, emissions), total_ll
 
 
+def _ref_flat_tables(model, sequences):
+    """The joint chain of ``flatten_chmm``, whose digit gathers form the same products as the joint view."""
+    flat = flatten_chmm(model)
+    return flat.pi, flat.trans, (flat.emit.T[flatten_obs(model, obs)] for obs in sequences)
+
+
 def _ref_chmm_e_step(model, sequences):
     sizes = model.states_per_chain
     L = model.num_chains
-    pi, trans = _joint_chain(model)
+    pi, trans, tables = _ref_flat_tables(model, sequences)
     init_counts = [np.zeros(sizes[l]) for l in range(L)]
     emit_counts = [np.zeros((sizes[l], model.symbols_per_chain[l])) for l in range(L)]
     pair_counts = {key: np.zeros(mat.shape) for key, mat in model.couplings.items()}
     total_ll = 0.0
-    tables = (_evidence_table(model, obs) for obs in sequences)
     for obs, (gamma, xi_sum, ll) in zip(sequences, _ref_expectations(pi, trans, tables)):
         total_ll += ll
-        chain_gammas = _chain_marginals(model, gamma)
+        shaped = gamma.reshape((gamma.shape[0],) + sizes)
+        chain_gammas = [shaped.sum(axis=tuple(1 + k for k in range(L) if k != l)) for l in range(L)]
         for l in range(L):
             init_counts[l] += chain_gammas[l][0]
             np.add.at(emit_counts[l].T, obs[:, l], chain_gammas[l])
@@ -106,10 +112,10 @@ def _ref_chmm_e_step(model, sequences):
 
 
 def _ref_total_log_likelihood(model, sequences):
-    pi, trans = _joint_chain(model)
+    pi, trans, tables = _ref_flat_tables(model, sequences)
     total = 0.0
-    for obs in sequences:
-        total += _ref_forward(pi, trans, _evidence_table(model, obs))[2]
+    for E in tables:
+        total += _ref_forward(pi, trans, E)[2]
     return total
 
 
@@ -143,11 +149,11 @@ def _hmm_problem(seed, n=4, m=3):
     return random_hmm(n, m, rng), seqs
 
 
-def _chmm_problem(seed):
+def _chmm_problem(seed, sizes=(2, 3, 2), symbols=(2, 2, 3)):
     rng = np.random.default_rng(seed)
-    true = random_chmm([2, 3, 2], [2, 2, 3], rng)
+    true = random_chmm(sizes, symbols, rng)
     seqs = [sample(true, T, 100 * seed + i)[1] for i, T in enumerate(LENGTHS)]
-    return random_chmm([2, 3, 2], [2, 2, 3], rng), seqs
+    return random_chmm(sizes, symbols, rng), seqs
 
 
 def _assert_same_hmm_run(a, b):
@@ -179,9 +185,19 @@ def test_baum_welch_bit_identical_to_per_sequence_reference(seed, n, m, monkeypa
     assert max(B for B, T in stacks) >= 3
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_chmm_em_bit_identical_to_per_sequence_reference(seed, monkeypatch):
-    init, seqs = _chmm_problem(seed)
+@pytest.mark.parametrize(
+    "seed,shape",
+    [
+        pytest.param(0, {}, id="0"),
+        pytest.param(1, {}, id="1"),
+        # One chain, whose marginal sums over no axes; and chmm-train's
+        # shape, 4 nearest-neighbour chains of 3 states.
+        pytest.param(2, {"sizes": (3,), "symbols": (4,)}, id="one-chain"),
+        pytest.param(3, {"sizes": (3,) * 4, "symbols": (3,) * 4}, id="4x3"),
+    ],
+)
+def test_chmm_em_bit_identical_to_per_sequence_reference(seed, shape, monkeypatch):
+    init, seqs = _chmm_problem(seed, **shape)
     config = EmConfig(max_iterations=10)
     stacks = _record_stacks(monkeypatch)
     _assert_same_chmm_run(chmm_em(init, seqs, config), _ref_chmm_em(init, seqs, config, monkeypatch))
@@ -266,6 +282,24 @@ def test_impossible_observation_in_a_coupled_candidate_names_the_sequence():
     seqs = [np.zeros((3, 1), dtype=int), np.array([[0], [1]]), np.array([[0], [0], [1]])]
     with pytest.raises(ImpossibleObservationError, match="sequence 1: observation at time step 1 "):
         chmm._total_log_likelihood(model, seqs)
+
+
+def test_marginal_over_a_stack_matches_each_row():
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        sizes = tuple(int(s) for s in rng.integers(1, 5, size=rng.integers(1, 7)))
+        keep = tuple(int(k) for k in np.flatnonzero(rng.random(len(sizes)) < 0.4))
+        B, T = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+        n = int(np.prod(sizes))
+        stack = rng.random((B, n))
+        got = _marginal(stack, sizes, keep)
+        for b in range(B):
+            assert np.array_equal(got[b], _marginal(stack[b], sizes, keep)), (sizes, keep, B)
+        # The time-major layout of gamma, against each sequence's strided view.
+        stack = rng.random((T, B, n))
+        got = _marginal(stack, sizes, keep)
+        for b in range(B):
+            assert np.array_equal(got[:, b], _marginal(stack[:, b], sizes, keep)), (sizes, keep, B, T)
 
 
 @pytest.mark.parametrize("T", [1, 2, 50])
