@@ -9,7 +9,7 @@ Every query runs its route of :mod:`dbnkit.inference` or
 :mod:`dbnkit.decoding` on a file, over a model's joint chain and evidence
 tables, whatever the model type, from :func:`dbnkit.convert._joint_view`;
 the library's queries run the same routes on one sequence.  The CLI never
-flattens a CHMM.  ``sample`` draws from a 2TBN's unrolled chain.
+flattens a CHMM.  ``sample`` draws from one view of the model per command.
 """
 
 from __future__ import annotations
@@ -26,13 +26,13 @@ import numpy as np
 
 from . import chmm as chmm_mod
 from . import inference, learning
-from .convert import _joint_emission, _joint_view, unroll_tbn
+from .convert import _joint_emission, _joint_view
 from .decoding import _viterbi_paths
 from .errors import DbnError
 from .io import format_obs, load_model, load_observations, parse_obs_line, save_model
-from .models import ChmmModel, HmmModel, Tbn2Model, _validate_sequences
+from .models import ChmmModel, HmmModel, _validate_sequences
 from .oracle import run_equivalence_checks
-from .sampling import sample
+from .sampling import _chains, _sampled
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -210,9 +210,8 @@ def _cmd_validate(args):
 def _cmd_sample(args):
     if args.out and args.states_out and os.path.realpath(args.out) == os.path.realpath(args.states_out):
         raise _UsageError("--out and --states-out name the same file")
-    model = load_model(args.model)
-    model = unroll_tbn(model) if isinstance(model, Tbn2Model) else model
-    draws = (sample(model, args.length, args.seed + i) for i in range(args.count))
+    chains = _chains(load_model(args.model))
+    draws = (_sampled(chains, args.length, args.seed + i) for i in range(args.count))
     first = next(draws)  # a length over the byte budget raises here, before any file is opened
     with contextlib.ExitStack() as files:
         out = files.enter_context(open(args.out, "w", encoding="utf-8")) if args.out else sys.stdout

@@ -37,6 +37,8 @@ def flatten_chmm(model: ChmmModel) -> HmmModel:
     products across chains.  Raises SizeCapError, before building anything,
     if the n x n transition or the n x m emission exceeds the byte budget.
     """
+    if not isinstance(model, ChmmModel):
+        raise TypeError(f"flatten_chmm expects a ChmmModel, got {type(model).__name__}")
     sizes = model.states_per_chain
     symbols = model.symbols_per_chain
     n = math.prod(sizes)
@@ -65,6 +67,8 @@ def flatten_chmm(model: ChmmModel) -> HmmModel:
 
 def flatten_obs(model: ChmmModel, obs) -> np.ndarray:
     """Map per-chain observation tuples to joint symbol indices (row-major)."""
+    if not isinstance(model, ChmmModel):
+        raise TypeError(f"flatten_obs expects a ChmmModel, got {type(model).__name__}")
     obs = validate_obs(model, obs)
     return np.ravel_multi_index(
         tuple(obs[:, l] for l in range(model.num_chains)), model.symbols_per_chain
@@ -73,6 +77,8 @@ def flatten_obs(model: ChmmModel, obs) -> np.ndarray:
 
 def hmm_to_chmm(model: HmmModel) -> ChmmModel:
     """Wrap an HMM as the single chain of a coupled model."""
+    if not isinstance(model, HmmModel):
+        raise TypeError(f"hmm_to_chmm expects an HmmModel, got {type(model).__name__}")
     return ChmmModel(
         initials=[model.pi],
         emissions=[model.emit],
@@ -92,6 +98,8 @@ def unroll_tbn(model: Tbn2Model) -> HmmModel:
     matrix is the identity.  Raises SizeCapError, before building anything,
     if one n x n array (float or int64 index) exceeds the byte budget.
     """
+    if not isinstance(model, Tbn2Model):
+        raise TypeError(f"unroll_tbn expects a Tbn2Model, got {type(model).__name__}")
     cards = model.cardinalities
     n = math.prod(cards)
     _check_array_bytes("joint transition", n, n)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .convert import _joint_view
 from .inference import _expectations
-from .models import HmmModel, _index, _validate_sequences
+from .models import HmmModel, _index, _integer_array, _validate_sequences
 
 
 @dataclass(frozen=True)
@@ -87,14 +87,15 @@ def mle_complete(data, num_states: int, num_symbols: int, pseudocount: float = 0
     trans = np.zeros((num_states, num_states))
     emit = np.zeros((num_states, num_symbols))
     for idx, (states, symbols) in enumerate(data):
-        states = np.asarray(states, dtype=np.int64)
-        symbols = np.asarray(symbols, dtype=np.int64)
+        states = _integer_array(states, f"pair {idx}: states", ValueError)
+        symbols = _integer_array(symbols, f"pair {idx}: observations", ValueError)
         if states.ndim != 1 or states.shape != symbols.shape or states.size == 0:
             raise ValueError(f"pair {idx}: states and observations must be equal-length nonempty vectors")
         if states.min() < 0 or states.max() >= num_states:
             raise ValueError(f"pair {idx}: state index out of range 0..{num_states - 1}")
         if symbols.min() < 0 or symbols.max() >= num_symbols:
             raise ValueError(f"pair {idx}: symbol index out of range 0..{num_symbols - 1}")
+        states, symbols = states.astype(np.int64), symbols.astype(np.int64)
         init[states[0]] += 1.0
         np.add.at(trans, (states[:-1], states[1:]), 1.0)
         np.add.at(emit, (states, symbols), 1.0)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -328,23 +329,12 @@ class Tbn2Model:
         return tuple(v.card for v in self.variables)
 
 
-def _is_acyclic(num_nodes, edges):
-    # Kahn's algorithm; edges are (parent, child) pairs.
-    children = {i: [] for i in range(num_nodes)}
-    indegree = [0] * num_nodes
-    for parent, child in edges:
-        children[parent].append(child)
-        indegree[child] += 1
-    ready = [i for i in range(num_nodes) if indegree[i] == 0]
-    seen = 0
-    while ready:
-        node = ready.pop()
-        seen += 1
-        for child in children[node]:
-            indegree[child] -= 1
-            if indegree[child] == 0:
-                ready.append(child)
-    return seen == num_nodes
+def _check_acyclic(parents, graph):
+    """Raise ModelValidationError naming ``graph`` if ``parents`` (node -> its parents) has a cycle."""
+    try:
+        TopologicalSorter(parents).prepare()
+    except CycleError:
+        raise ModelValidationError(f"{graph} parent graph has a cycle") from None
 
 
 def validate_tbn2(model: Tbn2Model) -> None:
@@ -385,14 +375,36 @@ def validate_tbn2(model: Tbn2Model) -> None:
                 f"got shape {var.trans_cpt.shape}"
             )
         _check_stochastic_matrix(var.trans_cpt, f"var {i} trans_cpt")
-    init_edges = [(p, i) for i, var in enumerate(model.variables) for p in var.init_parents]
-    if not _is_acyclic(V, init_edges):
-        raise ModelValidationError("initial-network parent graph has a cycle")
-    intra_edges = [
-        (p, i) for i, var in enumerate(model.variables) for s, p in var.trans_parents if s == 1
-    ]
-    if not _is_acyclic(V, intra_edges):
-        raise ModelValidationError("transition-network intra-slice parent graph has a cycle")
+    _check_acyclic({i: var.init_parents for i, var in enumerate(model.variables)}, "initial-network")
+    intra = {i: [p for s, p in var.trans_parents if s == 1] for i, var in enumerate(model.variables)}
+    _check_acyclic(intra, "transition-network intra-slice")
+
+
+def _integer_array(values, what, error):
+    """``values`` as an array of integral numbers, not yet cast, or ``error`` naming ``what``.
+
+    Text is refused rather than parsed, and so is a complex number; Python
+    integers too large for int64 are kept exact, so that a caller can
+    range-check them before its cast.
+    """
+    try:
+        arr = np.asarray(values)
+        if arr.dtype.kind in "US" and arr.size:  # numpy would parse numeric text as a number
+            raise ValueError(f"{arr.flat[0].item()!r} is text")
+        if arr.dtype == object:  # Python numbers, kept exact so that an error names any of them as given
+            integral = all(map(_is_integral, arr.flat))
+        elif np.issubdtype(arr.dtype, np.integer):
+            integral = True
+        elif arr.dtype.kind == "c":  # a cast to float would drop the imaginary part
+            integral = False
+        else:
+            arr = arr.astype(np.float64)
+            integral = (np.isfinite(arr) & (arr == np.floor(arr))).all()
+    except (TypeError, ValueError, OverflowError) as err:
+        raise error(f"{what} must be a rectangular array of integers: {err}") from None
+    if not integral:
+        raise error(f"{what} must be integers")
+    return arr
 
 
 def validate_obs(model, obs) -> np.ndarray:
@@ -405,23 +417,9 @@ def validate_obs(model, obs) -> np.ndarray:
     Symbols are range-checked before the int64 cast, so an error names the
     symbol as given, however large.
     """
-    try:
-        arr = np.asarray(obs)
-        if arr.dtype.kind in "US" and arr.size:  # numpy would parse numeric text as a number
-            raise ValueError(f"{arr.flat[0].item()!r} is text")
-        if arr.dtype == object:  # Python numbers, kept exact so that an error names any of them as given
-            integral = all(map(_is_integral, arr.flat))
-        elif np.issubdtype(arr.dtype, np.integer):
-            integral = True
-        else:
-            arr = arr.astype(np.float64)
-            integral = (np.isfinite(arr) & (arr == np.floor(arr))).all()
-    except (TypeError, ValueError, OverflowError) as err:
-        raise ObservationError(f"observation symbols must be a rectangular array of integers: {err}") from None
+    arr = _integer_array(obs, "observation symbols", ObservationError)
     if arr.size == 0:
         raise ObservationError("observation sequence must have at least one step")
-    if not integral:
-        raise ObservationError("observation symbols must be integers")
 
     if isinstance(model, HmmModel):
         if arr.ndim != 1:

@@ -13,7 +13,6 @@ import itertools
 
 import numpy as np
 
-from . import chmm as chmm_mod
 from . import inference
 from .convert import flatten_chmm, flatten_obs
 from .decoding import DecodeResult, viterbi
@@ -137,11 +136,11 @@ def run_equivalence_checks(count: int, seed: int):
         model = random_chmm(sizes, symbols, rng)
         T = int(rng.integers(1, 6))
         obs = np.stack([rng.integers(0, symbols[l], size=T) for l in range(L)], axis=1)
-        direct = chmm_mod.chmm_likelihood(model, obs)
+        direct = inference.log_likelihood(model, obs)
         flat = flatten_chmm(model)
         flat_obs = flatten_obs(model, obs)
         chmm_lik_dev = max(chmm_lik_dev, abs(direct - inference.log_likelihood(flat, flat_obs)))
-        joint_gamma = chmm_mod.chmm_smooth(model, obs).gamma
+        joint_gamma = inference.smooth(model, obs).gamma
         flat_gamma = inference.smooth(flat, flat_obs).gamma
         chmm_gamma_dev = max(chmm_gamma_dev, float(np.abs(joint_gamma - flat_gamma).max()))
 

@@ -1,80 +1,80 @@
 """Seeded generative sampling, plus random-model construction for testing.
 
-All draws run through a single ``numpy.random.default_rng(seed)`` stream in
-a fixed order (state, then its emission, one step at a time), so output is
-a pure function of (model, length, seed).  Bit-exact reproducibility across
-numpy versions is not promised; statistical tolerances absorb that.
+Every model is sampled as chains, one slice at a time: an HMM is one chain
+whose parent is itself, a 2TBN is its unrolled HMM, and a coupled HMM draws
+each chain's state from its table at its parents' previous states.  All
+draws run through a single ``numpy.random.default_rng(seed)`` stream in a
+fixed order (every chain's state, then every chain's symbol, one step at a
+time), so output is a pure function of (model, length, seed).  Bit-exact
+reproducibility across numpy versions is not promised; statistical
+tolerances absorb that.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 import numpy as np
 
-from .models import ChmmModel, HmmModel, _check_array_bytes, _index, nearest_neighbor_parents
-
-
-def _draw(cumulative, rng):
-    i = np.searchsorted(cumulative, rng.random(), side="right")
-    return min(int(i), cumulative.shape[0] - 1)
+from .convert import unroll_tbn
+from .models import ChmmModel, HmmModel, Tbn2Model, _check_array_bytes, _index, nearest_neighbor_parents
 
 
 def sample(model, length: int, seed: int):
     """Draw (state path, observations) of ``length`` steps from the model.
 
-    For an HmmModel both outputs are 1-D int arrays of length T.  For a
-    ChmmModel both are (T, L) arrays with one state/symbol per chain.
-    Raises SizeCapError, before drawing anything, if one of them would not
-    fit the byte budget.
+    For an HmmModel both outputs are 1-D int arrays of length T, and for a
+    Tbn2Model they are those of its unrolled HMM.  For a ChmmModel both are
+    (T, L) arrays with one state/symbol per chain.  Raises SizeCapError,
+    before drawing anything, if one of them would not fit the byte budget.
     """
     length = _index(length, "length", ValueError)
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    rng = np.random.default_rng(seed)
+    return _sampled(_chains(model), length, seed)
+
+
+def _cumulative(table):
+    """Cumulative rows over the last axis, the last entry raised to infinity so that no draw runs past it."""
+    out = np.cumsum(table, axis=-1)
+    out[..., -1] = np.inf
+    return out
+
+
+def _chains(model):
+    """``(shape, initials, transitions, emissions)``: the per-chain tables that :func:`_sampled` draws from.
+
+    Each chain has a cumulative initial row, a cumulative transition table
+    paired with a getter of its parents' entries from the previous step's
+    states, and cumulative emission rows.  ``shape`` is one step's draw: ()
+    for the one chain of an HMM (a 2TBN is unrolled once), (L,) for a
+    coupled HMM.
+    """
+    if isinstance(model, Tbn2Model):
+        model = unroll_tbn(model)
     if isinstance(model, HmmModel):
-        return _sample_hmm(model, length, rng)
+        return (), [_cumulative(model.pi)], [(_cumulative(model.trans), itemgetter(0))], [_cumulative(model.emit)]
     if isinstance(model, ChmmModel):
-        return _sample_chmm(model, length, rng)
+        initials, emissions = map(_cumulative, model.initials), map(_cumulative, model.emissions)
+        transitions = [(_cumulative(t), itemgetter(*model.parents(l))) for l, t in enumerate(model._chain_tables)]
+        return (model.num_chains,), list(initials), transitions, list(emissions)
     raise TypeError(f"cannot sample from model type {type(model).__name__}")
 
 
-def _sample_hmm(model, length, rng):
-    _check_array_bytes("sampled path", length)
-    pi_cum = np.cumsum(model.pi)
-    trans_cum = np.cumsum(model.trans, axis=1)
-    emit_cum = np.cumsum(model.emit, axis=1)
-    states = np.empty(length, dtype=np.int64)
-    symbols = np.empty(length, dtype=np.int64)
-    x = _draw(pi_cum, rng)
+def _sampled(chains, length, seed):
+    """One seeded draw of ``length`` steps from :func:`_chains`'s view, after checking the paths' bytes."""
+    shape, initials, transitions, emissions = chains
+    _check_array_bytes("sampled path", length, *shape)
+    states = np.empty((length, len(initials)), dtype=np.int64)
+    symbols = np.empty_like(states)
+    uniform = np.random.default_rng(seed).random
+    x = [row.searchsorted(uniform(), "right") for row in initials]
     for t in range(length):
-        if t > 0:
-            x = _draw(trans_cum[x], rng)
+        if t:
+            x = [table[parents(x)].searchsorted(uniform(), "right") for table, parents in transitions]
         states[t] = x
-        symbols[t] = _draw(emit_cum[x], rng)
-    return states, symbols
-
-
-def _sample_chmm(model, length, rng):
-    L = model.num_chains
-    _check_array_bytes("sampled path", length, L)
-    init_cum = [np.cumsum(p) for p in model.initials]
-    emit_cum = [np.cumsum(b, axis=1) for b in model.emissions]
-    parents = [list(model.parents(l)) for l in range(L)]
-    trans_cum = [np.cumsum(table, axis=-1) for table in model._chain_tables]
-    states = np.empty((length, L), dtype=np.int64)
-    symbols = np.empty((length, L), dtype=np.int64)
-    x = np.empty(L, dtype=np.int64)
-    for t in range(length):
-        if t == 0:
-            for l in range(L):
-                x[l] = _draw(init_cum[l], rng)
-        else:
-            prev = states[t - 1]
-            for l in range(L):
-                x[l] = _draw(trans_cum[l][tuple(prev[parents[l]])], rng)
-        states[t] = x
-        for l in range(L):
-            symbols[t, l] = _draw(emit_cum[l][x[l]], rng)
-    return states, symbols
+        symbols[t] = [emit[i].searchsorted(uniform(), "right") for emit, i in zip(emissions, x)]
+    return states.reshape((length,) + shape), symbols.reshape((length,) + shape)
 
 
 def _as_rng(rng):

@@ -35,7 +35,6 @@ from dbnkit import chmm, models
 from dbnkit.cli import main
 from dbnkit.learning import normalize_rows
 from dbnkit.models import _chain_conditional
-from dbnkit.sampling import _draw
 
 
 def _rand_obs(model, T, rng):
@@ -291,6 +290,11 @@ def _reference_joint_transition(model):
             row = w if row is None else np.multiply.outer(row, w)
         out[s] = row.reshape(-1)
     return out
+
+
+def _draw(cumulative, rng):
+    i = np.searchsorted(cumulative, rng.random(), side="right")
+    return min(int(i), cumulative.shape[0] - 1)
 
 
 def _reference_sample(model, length, seed):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dbnkit import HmmModel, cli, convert, load_model, random_chmm, save_model, unroll_tbn
+from dbnkit import HmmModel, cli, convert, load_model, random_chmm, sampling, save_model, unroll_tbn
 from dbnkit.cli import main
 
 
@@ -409,6 +409,19 @@ def test_tbn2_unrolled_once_per_command(tbn_file, tmp_path, monkeypatch, capsys,
     assert main([command, "--model", tbn_file, "--obs", str(obs_path)]) == 0
     assert len(calls) == 1
     assert capsys.readouterr().out.count("\n\n") == (2 if command in ("smooth", "filter") else 0)
+
+
+def test_tbn2_unrolled_once_per_sample_command(tbn_file, monkeypatch, capsys):
+    calls = []
+
+    def counting_unroll(model):
+        calls.append(model)
+        return unroll_tbn(model)
+
+    monkeypatch.setattr(sampling, "unroll_tbn", counting_unroll)
+    assert main(["sample", "--model", tbn_file, "--length", "6", "--count", "3", "--seed", "4"]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out.count("\n") == 3
 
 
 def test_oracle_check_passes(capsys):

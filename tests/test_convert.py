@@ -11,6 +11,7 @@ from dbnkit import (
     hmm_to_chmm,
     log_likelihood,
     random_chmm,
+    random_hmm,
     unroll_tbn,
 )
 from dbnkit.oracle import enum_likelihood
@@ -176,3 +177,20 @@ def test_unroll_size_cap():
     )
     with pytest.raises(SizeCapError, match=r"joint transition \(524288 x 524288\)"):
         unroll_tbn(model)
+
+
+@pytest.mark.parametrize(
+    "name, convert, expected, given",
+    [
+        ("flatten_chmm", flatten_chmm, "a ChmmModel", "HmmModel"),
+        ("flatten_obs", lambda model: flatten_obs(model, [0, 1]), "a ChmmModel", "HmmModel"),
+        ("unroll_tbn", unroll_tbn, "a Tbn2Model", "HmmModel"),
+        ("hmm_to_chmm", hmm_to_chmm, "an HmmModel", "ChmmModel"),
+    ],
+    ids=["flatten_chmm", "flatten_obs", "unroll_tbn", "hmm_to_chmm"],
+)
+def test_converters_refuse_the_wrong_model_type(name, convert, expected, given):
+    rng = np.random.default_rng(2)
+    model = random_hmm(2, 2, rng) if given == "HmmModel" else random_chmm([2], [2], rng)
+    with pytest.raises(TypeError, match=f"^{name} expects {expected}, got {given}$"):
+        convert(model)

@@ -62,6 +62,17 @@ def test_mle_rejects_bad_input():
     for count in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="pseudocount must be finite and nonnegative"):
             mle_complete([(np.array([0, 1]), np.array([0, 0]))], 2, 2, pseudocount=count)
+    # the second pair is bad; each error names it
+    bad_pairs = [
+        ((["0", "1"], ["1", "0"]), "^pair 1: states must be a rectangular array of integers: '0' is text$"),
+        (([0, 1], [0.9, 1.2]), "^pair 1: observations must be integers$"),
+        (([0, float("nan")], [0, 1]), "^pair 1: states must be integers$"),
+        (([0, 2**70], [0, 1]), r"^pair 1: state index out of range 0\.\.1$"),
+        (([0, 1], [1 + 1j, 0]), "^pair 1: observations must be integers$"),
+    ]
+    for pair, message in bad_pairs:
+        with pytest.raises(ValueError, match=message):
+            mle_complete([([0, 0], [0, 1]), pair], 2, 2)
 
 
 def test_mle_recovers_generating_model():

@@ -321,8 +321,10 @@ def test_validate_obs_hmm(worked_model):
         ([b"1"], "^observation symbols must be a rectangular array of integers: b'1' is text$"),
         ([0, 10**400], f"^symbol 1{'0' * 400} at step 1 outside valid range 0..1$"),
         ([10**400, 0.5], "^observation symbols must be integers$"),
+        ([1 + 1j, 0], "^observation symbols must be integers$"),
     ],
-    ids=["ragged", "string", "2**70", "2**63", "1e30", "inf", "numeric-string", "bytes", "10**400", "10**400-and-fraction"],
+    ids=["ragged", "string", "2**70", "2**63", "1e30", "inf", "numeric-string", "bytes", "10**400", "10**400-and-fraction",
+         "complex"],
 )
 def test_validate_obs_refuses_what_numpy_cannot_hold_as_int64(worked_model, obs, message):
     # No numpy error and no RuntimeWarning (which the suite turns into an error) gets through.

@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
 
-from dbnkit import HmmModel, SizeCapError, random_chmm, random_hmm, sample, validate_chmm, validate_hmm
+from dbnkit import (
+    HmmModel,
+    SizeCapError,
+    Tbn2Model,
+    TbnVariable,
+    random_chmm,
+    random_hmm,
+    sample,
+    unroll_tbn,
+    validate_chmm,
+    validate_hmm,
+)
 
 
 def test_same_seed_reproduces_hmm_sample(worked_model):
@@ -108,3 +119,63 @@ def test_sample_refuses_a_path_over_the_byte_budget(monkeypatch, worked_model):
         sample(worked_model, 101, seed=0)
     with pytest.raises(SizeCapError, match=r"sampled path \(51 x 2\) needs 816 bytes"):
         sample(chmm, 51, seed=0)
+
+
+def _reference_hmm_sample(model, length, seed):
+    """The HMM-only sampler that ``sample`` replaced: one chain, drawn through a clamped ``searchsorted``."""
+
+    def draw(cumulative):
+        i = np.searchsorted(cumulative, rng.random(), side="right")
+        return min(int(i), cumulative.shape[0] - 1)
+
+    rng = np.random.default_rng(seed)
+    pi_cum = np.cumsum(model.pi)
+    trans_cum = np.cumsum(model.trans, axis=1)
+    emit_cum = np.cumsum(model.emit, axis=1)
+    states = np.empty(length, dtype=np.int64)
+    symbols = np.empty(length, dtype=np.int64)
+    x = draw(pi_cum)
+    for t in range(length):
+        if t > 0:
+            x = draw(trans_cum[x])
+        states[t] = x
+        symbols[t] = draw(emit_cum[x])
+    return states, symbols
+
+
+@pytest.mark.parametrize("num_states", [1, 2, 7, 40, 256])
+def test_hmm_sample_matches_the_reference_sampler_bit_for_bit(num_states):
+    rng = np.random.default_rng(num_states)
+    for _ in range(4):
+        model = random_hmm(num_states, int(rng.integers(1, 9)), rng)
+        if num_states > 1:  # zero entries, trailing ones included, make runs of equal cumulative values
+            trans = model.trans * (rng.random(model.trans.shape) < 0.5)
+            trans[:, 0] += 0.125
+            model = HmmModel(pi=model.pi, trans=trans / trans.sum(axis=1, keepdims=True), emit=model.emit)
+        length, seed = int(rng.integers(1, 400)), int(rng.integers(2**31))
+        for got, expected in zip(sample(model, length, seed), _reference_hmm_sample(model, length, seed)):
+            assert got.dtype == expected.dtype == np.int64
+            assert got.shape == expected.shape == (length,)
+            assert np.array_equal(got, expected)
+
+
+def test_tbn2_sample_is_the_sample_of_its_unrolled_chain():
+    # variable 1 depends on its own past and on variable 0 in the same slice
+    a = TbnVariable(card=2, init_parents=(), init_cpt=[[0.3, 0.7]], trans_parents=((0, 0),),
+                    trans_cpt=[[0.9, 0.1], [0.25, 0.75]])
+    b = TbnVariable(card=3, init_parents=(0,), init_cpt=[[0.2, 0.3, 0.5], [0.6, 0.1, 0.3]],
+                    trans_parents=((0, 1), (1, 0)),
+                    trans_cpt=np.random.default_rng(8).dirichlet(np.ones(3), size=6))
+    tbn = Tbn2Model(variables=[a, b])
+    chain = unroll_tbn(tbn)
+    for seed in range(5):
+        got, expected = sample(tbn, 50, seed), sample(chain, 50, seed)
+        for x, y in zip(got, expected):
+            assert x.dtype == y.dtype and x.shape == y.shape == (50,)
+            assert np.array_equal(x, y)
+        assert np.array_equal(got[0], got[1])  # a 2TBN observes its joint assignment
+
+
+def test_sample_refuses_an_unknown_model_type():
+    with pytest.raises(TypeError, match="^cannot sample from model type dict$"):
+        sample({}, 5, seed=0)
