@@ -402,9 +402,11 @@ def _lifting_table(trans_cum):
     """``(table, P)`` for :func:`_propagate`: row i is ``trans_cum[i, :n-1]``, +inf-padded to width P.
 
     P = 2**bit_length(n-1) exceeds n-1, so every row ends in at least one +inf.
+    P can be up to 2n - 2, so the table is checked against MAX_ARRAY_BYTES on its own.
     """
     n = trans_cum.shape[0]
     P = 1 << (n - 1).bit_length()
+    _check_array_bytes("particle lifting table", n, P)
     table = np.full((n, P), np.inf)
     table[:, : n - 1] = trans_cum[:, : n - 1]
     return table.ravel(), P

@@ -187,11 +187,20 @@ def parse_obs_line(text, ctx="observation"):
     comma-joined.  Returns a 1-D int array, or (T, L) when commas appear.
     Tokens other than ASCII decimal digits, negative ones included, and
     symbols above 2**63 - 1, are rejected (missing values are not supported).
+
+    A line whose symbols are all plain (:func:`_plain_symbols`) and, with
+    commas, whose steps all have as many commas as the first, is converted
+    in one ``np.array`` call; any other line takes the token-by-token loop,
+    which names the first bad token.
     """
     tokens = text.split()
     if not tokens:
         raise ModelFormatError(f"{ctx}: empty observation sequence")
-    if any("," in tok for tok in tokens):
+    if "," in text:
+        commas = tokens[0].count(",")
+        parts = ",".join(tokens).split(",")
+        if _plain_symbols(parts) and all(tok.count(",") == commas for tok in tokens):
+            return np.array(parts, dtype=np.int64).reshape(len(tokens), commas + 1)
         rows = []
         arity = None
         for step, tok in enumerate(tokens):
@@ -204,7 +213,15 @@ def parse_obs_line(text, ctx="observation"):
                 )
             rows.append([_parse_symbol(p, ctx, step) for p in parts])
         return np.array(rows, dtype=np.int64)
+    if _plain_symbols(tokens):
+        return np.array(tokens, dtype=np.int64)
     return np.array([_parse_symbol(tok, ctx, step) for step, tok in enumerate(tokens)], dtype=np.int64)
+
+
+def _plain_symbols(parts):
+    """Whether every one of ``parts`` is 1 to 18 ASCII digits, and so an int64 whatever the digits."""
+    digits = "".join(parts)
+    return digits.isascii() and digits.isdigit() and "" not in parts and max(map(len, parts)) <= 18
 
 
 _MAX_SYMBOL = 2**63 - 1  # symbols are stored as int64

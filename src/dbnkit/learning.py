@@ -66,8 +66,10 @@ def normalize_rows(counts: np.ndarray, pseudocount: float = 0.0) -> np.ndarray:
     """Row-normalize counts after adding ``pseudocount``; empty rows go uniform."""
     c = counts + pseudocount
     totals = c.sum(axis=1, keepdims=True)
-    out = np.empty(c.shape, dtype=np.float64)
     empty = totals[:, 0] == 0.0
+    if not empty.any():
+        return c / totals
+    out = np.empty(c.shape, dtype=np.float64)
     out[empty] = 1.0 / c.shape[1]
     out[~empty] = c[~empty] / totals[~empty]
     return out

@@ -3,7 +3,9 @@
 All models are frozen dataclasses over float64 numpy arrays.  Arrays are
 copied on construction and marked read-only, so instances are safe to share
 across threads.  Validation runs eagerly: a successfully constructed model
-always satisfies its shape and stochasticity invariants.
+always satisfies its shape and stochasticity invariants.  A validator screens
+all of a model's probability tables in one bulk pass and checks them one by
+one only to name the first failure, in the order of its walk.
 
 Probability rows are plain 1-D arrays checked by :func:`check_distribution`
 (entries nonnegative, sum 1 within ``PROB_ATOL``).  Observation sequences
@@ -86,22 +88,80 @@ def check_distribution(probs, name="distribution"):
         raise ModelValidationError(f"{name} sums to {total!r}, expected 1")
 
 
+def _unstochastic_rows(mat):
+    """Which rows of the 2-D ``mat`` are not finite, nonnegative and summing to 1 within PROB_ATOL / 2.
+
+    A non-finite entry makes a non-finite sum, so the sum test covers it (+inf
+    and -inf sum to nan with an "invalid" warning, which callers silence).  A
+    row sum along axis 1 may round differently from :func:`check_distribution`'s
+    1-D sum; a row within half the tolerance passes under either summation.
+    """
+    return (mat < 0.0).any(axis=1) | ~(np.abs(mat.sum(axis=1) - 1.0) <= PROB_ATOL / 2)
+
+
 def _check_stochastic_matrix(mat, name):
     """Raise for the first row of ``mat`` that :func:`check_distribution` rejects.
 
-    Rows are screened with whole-array tests and only flagged rows are checked
-    one by one.  The screen uses half the tolerance because a row sum along
-    axis 1 may round differently from the 1-D sum; a row it passes is within
-    PROB_ATOL under either summation.
+    Rows are screened with whole-array tests (:func:`_unstochastic_rows`) and
+    only flagged rows are checked one by one.
     """
     with np.errstate(invalid="ignore"):
-        flagged = (
-            ~np.isfinite(mat).all(axis=1)
-            | (mat < 0.0).any(axis=1)
-            | (np.abs(mat.sum(axis=1) - 1.0) > PROB_ATOL / 2)
-        )
+        flagged = _unstochastic_rows(mat)
     for i in np.flatnonzero(flagged):
         check_distribution(mat[i], f"{name} row {i}")
+
+
+# Tables of one width screened together are copied into one array first; past this
+# size the copy costs more than the numpy calls it saves, so each is screened in place.
+_SCREEN_GROUP_BYTES = 2**16
+
+
+def _screen(tables):
+    """Whether any row of ``tables`` (``(array, name)`` pairs) fails :func:`_unstochastic_rows`.
+
+    Vectors are screened as one-row matrices, apart from matrices; tables of
+    one kind and row width are screened as one concatenated array when there
+    are several and they fit both _SCREEN_GROUP_BYTES and MAX_ARRAY_BYTES.
+    """
+    groups = {}
+    for arr, _ in tables:
+        groups.setdefault((arr.ndim, arr.shape[-1]), []).append(arr if arr.ndim == 2 else arr[None])
+    # A sum past the float range is inf and flagged; the per-table checks that follow are not silenced.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for group in groups.values():
+            if len(group) > 1 and 8 * sum(a.size for a in group) <= min(_SCREEN_GROUP_BYTES, MAX_ARRAY_BYTES):
+                group = [np.concatenate(group)]
+            if any(_unstochastic_rows(a).any() for a in group):
+                return True
+    return False
+
+
+def _check_each(tables):
+    """Check ``tables`` (``(array, name)`` pairs) in order: vectors as distributions, matrices row by row."""
+    for arr, name in tables:
+        if arr.ndim == 1:
+            check_distribution(arr, name)
+        else:
+            _check_stochastic_matrix(arr, name)
+
+
+def _check_tables(tables):
+    """Run a validator's walk, which yields ``(array, name)`` pairs and raises at a structural defect.
+
+    The tables' checks are deferred so that one :func:`_screen` covers them
+    all, yet the first failure is the one that checking each table where it
+    is yielded would raise: a structural failure first runs the checks of the
+    tables yielded before it, and a flagged screen runs every check in order.
+    """
+    checked = []
+    try:
+        for table in tables:
+            checked.append(table)
+    except ModelValidationError:
+        _check_each(checked)
+        raise
+    if _screen(checked):
+        _check_each(checked)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,9 +202,7 @@ def validate_hmm(model: HmmModel) -> None:
         raise ModelValidationError(f"B must have {n} rows to match pi, got shape {model.emit.shape}")
     if model.emit.shape[1] == 0:
         raise ModelValidationError("B must have at least one symbol column")
-    check_distribution(model.pi, "pi")
-    _check_stochastic_matrix(model.trans, "A")
-    _check_stochastic_matrix(model.emit, "B")
+    _check_tables([(model.pi, "pi"), (model.trans, "A"), (model.emit, "B")])
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,7 +242,8 @@ class ChmmModel:
         object.__setattr__(self, "emissions", emissions)
         object.__setattr__(self, "couplings", MappingProxyType(couplings))
         validate_chmm(self)
-        shapes = [[self.states_per_chain[k] for k in self.parents(l) + (l,)] for l in range(self.num_chains)]
+        sizes = self.states_per_chain
+        shapes = [[sizes[k] for k in self.parents(l) + (l,)] for l in range(self.num_chains)]
         for l, dims in enumerate(shapes):
             _check_array_bytes(f"chain {l} transition table", *dims)
         _check_array_bytes("chain transition table total", sum(map(math.prod, shapes)))  # all are kept at once
@@ -214,15 +273,18 @@ def _chain_conditional(model: ChmmModel, chain: int) -> np.ndarray:
     chain's next state on the last axis: the product of the parents'
     coupling rows, renormalized over the last axis; ChmmModel construction
     keeps one per chain, after checking that they fit MAX_ARRAY_BYTES
-    together.  Raises ModelValidationError, naming the first parent
-    configuration in row-major order, if one gives the product zero mass.
+    together.  The product is ``1.0 * c_0 * c_1 * ...``, each coupling
+    broadcast from a view reshaped onto its parent's axis.  Raises
+    ModelValidationError, naming the first parent configuration in row-major
+    order, if one gives the product zero mass.
     """
     parents = model.parents(chain)
-    dims = [model.states_per_chain[k] for k in parents + (chain,)]
-    grid = np.ix_(*map(np.arange, dims))
+    sizes = model.states_per_chain
     table = 1.0
     for axis, p in enumerate(parents):
-        table = table * model.couplings[(p, chain)][grid[axis], grid[-1]]
+        shape = [1] * len(parents) + [sizes[chain]]
+        shape[axis] = sizes[p]
+        table = table * model.couplings[(p, chain)].reshape(shape)
     mass = table.sum(axis=-1, keepdims=True)
     if not mass.all():
         states = tuple(int(i) for i in np.argwhere(mass[..., 0] == 0.0)[0])
@@ -243,7 +305,15 @@ def nearest_neighbor_parents(num_chains: int) -> tuple[tuple[int, ...], ...]:
 
 
 def validate_chmm(model: ChmmModel) -> None:
-    """Check every ChmmModel invariant, including the self-parent topology rule."""
+    """Check every ChmmModel invariant, including the self-parent topology rule.
+
+    The probability tables are screened in bulk (:func:`_check_tables`).
+    """
+    _check_tables(_chmm_tables(model))
+
+
+def _chmm_tables(model):
+    """validate_chmm's walk: raise at a structural defect, and yield each probability table in check order."""
     L = len(model.initials)
     if L == 0:
         raise ModelValidationError("model must have at least one chain")
@@ -253,14 +323,14 @@ def validate_chmm(model: ChmmModel) -> None:
         )
     sizes = model.states_per_chain
     for l in range(L):
-        check_distribution(model.initials[l], f"chain {l} pi")
+        yield model.initials[l], f"chain {l} pi"
         if model.emissions[l].shape[0] != sizes[l]:
             raise ModelValidationError(
                 f"chain {l} emissions must have {sizes[l]} rows, got shape {model.emissions[l].shape}"
             )
         if model.emissions[l].shape[1] == 0:
             raise ModelValidationError(f"chain {l} emissions must have at least one symbol column")
-        _check_stochastic_matrix(model.emissions[l], f"chain {l} emissions")
+        yield model.emissions[l], f"chain {l} emissions"
     for (k, l), mat in model.couplings.items():
         if not (0 <= k < L and 0 <= l < L):
             raise ModelValidationError(f"coupling ({k}->{l}) references a chain outside 0..{L - 1}")
@@ -268,7 +338,7 @@ def validate_chmm(model: ChmmModel) -> None:
             raise ModelValidationError(
                 f"coupling ({k}->{l}) must be {sizes[k]}x{sizes[l]}, got shape {mat.shape}"
             )
-        _check_stochastic_matrix(mat, f"coupling ({k}->{l})")
+        yield mat, f"coupling ({k}->{l})"
     for l in range(L):
         if (l, l) not in model.couplings:
             raise ModelValidationError(
@@ -338,7 +408,12 @@ def _check_acyclic(parents, graph):
 
 
 def validate_tbn2(model: Tbn2Model) -> None:
-    """Check shapes, CPT stochasticity, and acyclicity of both parent graphs."""
+    """Check shapes, CPT stochasticity (screened in bulk), and acyclicity of both parent graphs."""
+    _check_tables(_tbn2_tables(model))
+
+
+def _tbn2_tables(model):
+    """validate_tbn2's walk: raise at a structural defect, and yield each CPT in check order."""
     V = len(model.variables)
     if V == 0:
         raise ModelValidationError("model must have at least one variable")
@@ -361,7 +436,7 @@ def validate_tbn2(model: Tbn2Model) -> None:
                 f"var {i} init_cpt must be {rows}x{var.card} for its parent list, "
                 f"got shape {var.init_cpt.shape}"
             )
-        _check_stochastic_matrix(var.init_cpt, f"var {i} init_cpt")
+        yield var.init_cpt, f"var {i} init_cpt"
         rows = 1
         for s, p in var.trans_parents:
             if s not in (0, 1):
@@ -374,7 +449,7 @@ def validate_tbn2(model: Tbn2Model) -> None:
                 f"var {i} trans_cpt must be {rows}x{var.card} for its parent list, "
                 f"got shape {var.trans_cpt.shape}"
             )
-        _check_stochastic_matrix(var.trans_cpt, f"var {i} trans_cpt")
+        yield var.trans_cpt, f"var {i} trans_cpt"
     _check_acyclic({i: var.init_parents for i, var in enumerate(model.variables)}, "initial-network")
     intra = {i: [p for s, p in var.trans_parents if s == 1] for i, var in enumerate(model.variables)}
     _check_acyclic(intra, "transition-network intra-slice")

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 # BLAS runs on one thread, as in bench/run.py, so that a timing test measures
 # this process and not the load on the other cores.  Set before numpy's first
@@ -10,6 +11,21 @@ import numpy as np
 import pytest
 
 from dbnkit import HmmModel
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(call)`` returns ``call()`` and the peak bytes tracemalloc traced while it ran."""
+
+    def run(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return run
 
 
 @pytest.fixture

@@ -1,11 +1,10 @@
 import io
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from dbnkit import HmmModel, cli, convert, load_model, random_chmm, sampling, save_model, unroll_tbn
+from dbnkit import HmmModel, cli, convert, load_model, random_chmm, random_hmm, sampling, save_model, unroll_tbn
 from dbnkit.cli import main
 
 
@@ -255,6 +254,16 @@ def test_sample_refuses_a_path_over_the_byte_budget(model_file, monkeypatch, cap
     assert captured.err == "error: sampled path (101) needs 808 bytes, over the budget of 800\n"
 
 
+def test_particle_filter_refuses_a_lifting_table_over_the_byte_budget(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "model.json"
+    save_model(random_hmm(5, 2, np.random.default_rng(4)), path)
+    monkeypatch.setattr("dbnkit.models.MAX_ARRAY_BYTES", 200)
+    assert main(["filter", "--model", str(path), "--obs", "0 1", "--particles", "10", "--seed", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: particle lifting table (5 x 8) needs 320 bytes, over the budget of 200\n"
+
+
 def test_sample_refused_by_the_budget_opens_no_output_file(model_file, tmp_path, monkeypatch, capsys):
     obs_path, states_path = tmp_path / "obs.txt", tmp_path / "states.txt"
     obs_path.write_text("0 1\n")
@@ -277,7 +286,7 @@ def test_sample_refuses_one_file_for_symbols_and_states(model_file, tmp_path, mo
     assert (tmp_path / "same.txt").read_text() == "0 1\n"
 
 
-def test_sample_peak_memory_does_not_grow_with_the_count(model_file, tmp_path):
+def test_sample_peak_memory_does_not_grow_with_the_count(model_file, tmp_path, traced_peak):
     # Each draw is written as it is made.  Keeping the draws of --count 40
     # would add 72 paths of 8T bytes (36 draws, states and symbols), 144 KB,
     # to the peak of --count 4; the slack covers each output file's write
@@ -287,12 +296,11 @@ def test_sample_peak_memory_does_not_grow_with_the_count(model_file, tmp_path):
     assert main(["sample", "--model", model_file, "--length", str(T), *out]) == 0  # warm caches
     peaks = []
     for count in (4, 40):
-        tracemalloc.start()
-        try:
-            assert main(["sample", "--model", model_file, "--length", str(T), "--count", str(count), *out]) == 0
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(
+            lambda: main(["sample", "--model", model_file, "--length", str(T), "--count", str(count), *out])
+        )
+        assert code == 0
+        peaks.append(peak)
     assert peaks[1] <= peaks[0] + 4 * io.DEFAULT_BUFFER_SIZE
 
 

@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -345,6 +344,14 @@ def test_particle_filter_validates_arguments(worked_model, worked_obs):
         particle_filter(worked_model, worked_obs, 10**12, seed=1)
 
 
+def test_particle_lifting_table_is_checked_against_the_byte_budget(monkeypatch):
+    # A 5 x 5 transition is exactly 200 bytes; the lifting table is 5 x 8, 320 bytes.
+    model = random_hmm(5, 2, np.random.default_rng(4))
+    monkeypatch.setattr(models, "MAX_ARRAY_BYTES", 200)
+    with pytest.raises(SizeCapError, match=r"^particle lifting table \(5 x 8\) needs 320 bytes, over the budget of 200$"):
+        particle_filter(model, [0, 1], 10, 0)
+
+
 def test_oracle_equivalence_sample():
     rng = np.random.default_rng(23)
     for _ in range(25):
@@ -385,17 +392,12 @@ def test_xi_matches_per_step_reference(T):
         assert np.abs(xi - _xi_per_step(model, obs)).max(initial=0.0) < 1e-14
 
 
-def test_smooth_does_not_allocate_xi_until_read():
+def test_smooth_does_not_allocate_xi_until_read(traced_peak):
     rng = np.random.default_rng(13)
     n, T = 128, 400
     model = random_hmm(n, 4, rng)
     obs = rng.integers(0, 4, size=T)
-    tracemalloc.start()
-    try:
-        post = smooth(model, obs)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    post, peak = traced_peak(lambda: smooth(model, obs))
     assert post.gamma.shape == (T, n)
     assert peak < (T - 1) * n * n * 8 / 4
 

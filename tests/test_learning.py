@@ -15,6 +15,7 @@ from dbnkit import (
     random_hmm,
     sample,
 )
+from dbnkit.learning import normalize_rows
 
 
 def test_mle_transition_counts():
@@ -85,6 +86,29 @@ def test_mle_recovers_generating_model():
     m = mle_complete([(states, symbols)], 3, 3)
     assert np.abs(m.trans - true.trans).max() < 0.02
     assert np.abs(m.emit - true.emit).max() < 0.02
+
+
+def _masked_normalize_rows(counts, pseudocount=0.0):
+    """normalize_rows as it was before its one-division path: two masked copies, always."""
+    c = counts + pseudocount
+    totals = c.sum(axis=1, keepdims=True)
+    out = np.empty(c.shape, dtype=np.float64)
+    empty = totals[:, 0] == 0.0
+    out[empty] = 1.0 / c.shape[1]
+    out[~empty] = c[~empty] / totals[~empty]
+    return out
+
+
+@pytest.mark.parametrize("pseudocount", [0.0, 0.37])
+def test_normalize_rows_matches_the_masked_path_bit_for_bit(pseudocount):
+    rng = np.random.default_rng(41)
+    for _ in range(300):
+        counts = rng.random((int(rng.integers(1, 6)), int(rng.integers(1, 6)))) * 10.0 ** rng.integers(-300, 300)
+        if rng.random() < 0.3 and not pseudocount:
+            counts[int(rng.integers(counts.shape[0]))] = 0.0  # an empty row goes uniform
+        got, want = normalize_rows(counts, pseudocount), _masked_normalize_rows(counts, pseudocount)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert np.array_equal(normalize_rows(np.array([[0.0, 0.0], [1.0, 3.0]])), [[0.5, 0.5], [0.25, 0.75]])
 
 
 def test_baum_welch_fixed_point_unchanged():

@@ -5,8 +5,6 @@ stacked kernel replaced.  EM driven by either must agree bit for bit: same
 traces, same trained parameters, same error for an impossible observation.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -347,7 +345,7 @@ def test_time_major_stack_matches_stacks_of_one(B, n, T):
         assert lls[b] == inference._sequence_log_likelihoods(scale_1)[0] == ref_ll
 
 
-def test_e_step_peak_memory_stays_within_four_stacks():
+def test_e_step_peak_memory_stays_within_four_stacks(traced_peak):
     # The evidence (then pair weights), alpha and beta (then gamma) stacks
     # are three T x B x n tables; the E-step's scratch must stay within one more.
     B, T, n, m = 20, 200, 8, 6
@@ -356,10 +354,5 @@ def test_e_step_peak_memory_stays_within_four_stacks():
     init = random_hmm(n, m, rng)
     seqs = [sample(true, T, seed)[1] for seed in range(B)]
     learning._e_step(init, seqs)
-    tracemalloc.start()
-    try:
-        learning._e_step(init, seqs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: learning._e_step(init, seqs))
     assert peak <= 4 * B * T * n * 8

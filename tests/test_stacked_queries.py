@@ -12,7 +12,6 @@ model, so the two routes check each other.
 """
 
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -344,7 +343,7 @@ def test_every_obs_command_validates_each_sequence_once(kind, tmp_path, monkeypa
         assert calls == LENGTHS, argv  # each sequence once, in file order
 
 
-def test_stacked_smooth_peak_memory_stays_within_four_stacks():
+def test_stacked_smooth_peak_memory_stays_within_four_stacks(traced_peak):
     # The evidence, alpha and beta (then gamma) stacks are three T x B x n
     # tables, and the scratch must stay within one more.  A reader that keeps
     # every sequence's table keeps the gamma stack, and the peak stays within
@@ -361,16 +360,11 @@ def test_stacked_smooth_peak_memory_stays_within_four_stacks():
         assert all(g.shape == (T, n) for g in tables)
 
     run()
-    tracemalloc.start()
-    try:
-        run()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(run)
     assert peak <= 4 * B * T * n * 8
 
 
-def test_streamed_smooth_peak_memory_is_bounded_by_the_budget_not_the_file(monkeypatch):
+def test_streamed_smooth_peak_memory_is_bounded_by_the_budget_not_the_file(monkeypatch, traced_peak):
     # A budget of 10 tables; a short sequence second in the file.  Stacks
     # grouped by length across the whole file would make every later table
     # wait for it, so the peak would grow with the number of sequences.  A
@@ -385,19 +379,18 @@ def test_streamed_smooth_peak_memory_is_bounded_by_the_budget_not_the_file(monke
     peaks = []
     for count in (60, 240):
         seqs = [long, short] + [long] * count
-        tracemalloc.start()
-        try:
+
+        def drain():
             for result in inference._smoothed(model.pi, model.trans, seqs, lambda obs: emit_T[obs]):
                 assert result.gamma.shape[1] == n  # read, then dropped, as the CLI does
                 del result
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+
+        peaks.append(traced_peak(drain)[1])
     assert peaks[1] <= 3.5 * 10 * table
     assert peaks[1] <= peaks[0] + table
 
 
-def test_cli_smooth_peak_memory_is_bounded_by_the_budget_not_the_file(tmp_path, monkeypatch):
+def test_cli_smooth_peak_memory_is_bounded_by_the_budget_not_the_file(tmp_path, monkeypatch, traced_peak):
     # The file of the test above, through the CLI, whose printing loop must
     # not hold a window's last table while the next window is made.  Parsing
     # and formatting take about one budget more.
@@ -409,10 +402,6 @@ def test_cli_smooth_peak_memory_is_bounded_by_the_budget_not_the_file(tmp_path, 
     monkeypatch.setattr(models, "MAX_ARRAY_BYTES", 10 * table)
     with open(tmp_path / "out.txt", "w") as out:
         monkeypatch.setattr(sys, "stdout", out)
-        tracemalloc.start()
-        try:
-            assert main(["smooth", "--model", model_path, "--obs", obs_path]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(lambda: main(["smooth", "--model", model_path, "--obs", obs_path]))
+        assert code == 0
     assert peak <= 4.5 * 10 * table
