@@ -123,13 +123,6 @@ def unroll_tbn(model: Tbn2Model) -> HmmModel:
     return HmmModel(pi=pi, trans=trans, emit=np.eye(n))
 
 
-def _joint_chain(model: ChmmModel):
-    """A coupled model's joint initial distribution and transition, after checking the transition's bytes."""
-    sizes = model.states_per_chain
-    _check_array_bytes("joint transition", *sizes, *sizes)
-    return _joint_initial(model), _joint_transition(model)
-
-
 def _joint_transition(model: ChmmModel):
     """Joint transition over state tuples (chain 0 slowest), as an n x n matrix.
 
@@ -175,10 +168,6 @@ def _pair_marginals(model: ChmmModel, xi_sums):
     return {(k, l): _marginal(flat, sizes + sizes, (k, len(sizes) + l)) for k, l in model.couplings}
 
 
-def _joint_initial(model: ChmmModel):
-    return _product(model.initials)
-
-
 def _evidence_table(model: ChmmModel, obs):
     """E[t, ..., r]: probability of step t's per-chain symbols in joint state r, chain 0 first.
 
@@ -198,7 +187,9 @@ def _joint_view(model):
     if isinstance(model, Tbn2Model):
         model = unroll_tbn(model)
     if isinstance(model, ChmmModel):
-        return *_joint_chain(model), partial(_evidence_table, model)
+        sizes = model.states_per_chain
+        _check_array_bytes("joint transition", *sizes, *sizes)
+        return _product(model.initials), _joint_transition(model), partial(_evidence_table, model)
     emit_T = model.emit.T
     return model.pi, model.trans, lambda obs: emit_T[obs]
 

@@ -30,6 +30,7 @@ import numpy as np
 from .convert import _joint_emission, _joint_view
 from .errors import DegenerateWeightsError, ImpossibleObservationError
 from .models import _check_array_bytes, _index, _rows_within_budget, validate_obs
+from .sampling import _cumulative
 
 
 def _freeze(*arrays):
@@ -415,11 +416,8 @@ def _lifting_table(trans_cum):
 def _propagate(table, P, x, u):
     """Next states ``min(#{j : trans_cum[x, j] <= u}, n-1)``, by binary lifting.
 
-    Each row of ``trans_cum`` is the cumulative sum of a nonnegative row, so
-    it is nondecreasing: if ``trans_cum[x, n-1] <= u`` every entry counts and
-    the clamp gives n-1, the count over the first n-1 entries; otherwise the
-    last entry does not count.  Either way the result is the count over the
-    first n-1 entries, which the lifting finds in log2 P rounds of one
+    The rows of ``trans_cum`` are nondecreasing, so that is the count over the
+    first n-1 entries alone, which the lifting finds in log2 P rounds of one
     lookup per particle: with ``pos`` the flat index of row x's entry k - 1,
     k grows by ``b`` whenever entry ``k + b - 1`` of the padded row is <= u.
     """
@@ -433,55 +431,52 @@ def _propagate(table, P, x, u):
 
 
 def _systematic_resample(weights, rng):
+    """K particle indices drawn at positions (u + k) / K, for one uniform u, from the cumulative row of ``weights``."""
     K = weights.shape[0]
-    positions = (rng.random() + np.arange(K)) / K
-    idx = np.searchsorted(np.cumsum(weights), positions, side="right")
-    return np.minimum(idx, K - 1)
+    return _cumulative(weights).searchsorted((rng.random() + np.arange(K)) / K, "right")
 
 
-def _particle_filter(pi, trans, E, num_particles, seed, resample_threshold=0.5) -> ParticleFilterResult:
-    """:func:`particle_filter` on the chain ``(pi, trans)``, weighing step t's particles by row ``E[t]``."""
+def _particle_filters(pi, trans, sequences, evidence, num_particles, seed, resample_threshold=0.5):
+    """Yield :func:`particle_filter`'s result for each sequence, in order; a degenerate ensemble names its sequence.
+
+    The arguments are checked, and the initial row and the lifting table built
+    from :func:`dbnkit.sampling._cumulative` rows, once per file; each sequence
+    runs on its own ``default_rng(seed)``, weighing step t's particles by row t
+    of ``evidence(obs)``.
+    """
     K = _index(num_particles, "num_particles", ValueError)
     if K < 1:
         raise ValueError(f"num_particles must be >= 1, got {K}")
     _check_array_bytes("particle ensemble", K)
     if not 0.0 <= resample_threshold <= 1.0:
         raise ValueError(f"resample_threshold must be in [0, 1], got {resample_threshold}")
-    rng = np.random.default_rng(seed)
-    T, n = E.shape
-    table, P = _lifting_table(np.cumsum(trans, axis=1))
-
-    estimates = np.empty((T, n))
-    ess = np.empty(T)
-    resampled = np.zeros(T, dtype=bool)
-
-    x = np.minimum(np.searchsorted(np.cumsum(pi), rng.random(K), side="right"), n - 1)
-    w = E[0][x]
-    for t in range(T):
-        if t > 0:
-            if ess[t - 1] < resample_threshold * K:
-                keep = _systematic_resample(w, rng)
-                x = x[keep]
-                w = np.full(K, 1.0 / K)
-                resampled[t] = True
-            x = _propagate(table, P, x, rng.random(K))
-            w = w * E[t][x]
-        total = w.sum()
-        if total == 0.0:
-            raise DegenerateWeightsError(t)
-        w = w / total
-        estimates[t] = np.bincount(x, weights=w, minlength=n)
-        ess[t] = 1.0 / np.sum(w * w)
-    return ParticleFilterResult(estimates, ess, resampled, x, w)
-
-
-def _particle_filters(pi, trans, sequences, evidence, num_particles, seed, resample_threshold=0.5):
-    """Yield :func:`_particle_filter`'s result for each sequence, in order; an error names the sequence."""
+    initial = _cumulative(pi)
+    table, P = _lifting_table(_cumulative(trans))
     for i, obs in enumerate(sequences):
-        try:
-            yield _particle_filter(pi, trans, evidence(obs), num_particles, seed, resample_threshold)
-        except DegenerateWeightsError as err:
-            raise DegenerateWeightsError(err.t, f"sequence {i}: {err}") from err
+        rng = np.random.default_rng(seed)
+        E = evidence(obs)
+        T, n = E.shape
+        estimates = np.empty((T, n))
+        ess = np.empty(T)
+        resampled = np.zeros(T, dtype=bool)
+
+        x = initial.searchsorted(rng.random(K), "right")
+        w = E[0][x]
+        for t in range(T):
+            if t > 0:
+                if ess[t - 1] < resample_threshold * K:
+                    x = x[_systematic_resample(w, rng)]
+                    w = np.full(K, 1.0 / K)
+                    resampled[t] = True
+                x = _propagate(table, P, x, rng.random(K))
+                w = w * E[t][x]
+            total = w.sum()
+            if total == 0.0:
+                raise DegenerateWeightsError(t, f"sequence {i}: all particle weights are zero at time step {t}")
+            w = w / total
+            estimates[t] = np.bincount(x, weights=w, minlength=n)
+            ess[t] = 1.0 / np.sum(w * w)
+        yield ParticleFilterResult(estimates, ess, resampled, x, w)
 
 
 def particle_filter(

@@ -83,7 +83,8 @@ def check_distribution(probs, name="distribution"):
         raise ModelValidationError(f"{name} has non-finite entries")
     if np.any(probs < 0.0):
         raise ModelValidationError(f"{name} has negative entries")
-    total = float(probs.sum())
+    with np.errstate(over="ignore"):  # a sum past the float range is inf, and rejected below
+        total = float(probs.sum())
     if abs(total - 1.0) > PROB_ATOL:
         raise ModelValidationError(f"{name} sums to {total!r}, expected 1")
 
@@ -105,7 +106,7 @@ def _check_stochastic_matrix(mat, name):
     Rows are screened with whole-array tests (:func:`_unstochastic_rows`) and
     only flagged rows are checked one by one.
     """
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         flagged = _unstochastic_rows(mat)
     for i in np.flatnonzero(flagged):
         check_distribution(mat[i], f"{name} row {i}")

@@ -48,17 +48,23 @@ def _chains(model):
     paired with a getter of its parents' entries from the previous step's
     states, and cumulative emission rows.  ``shape`` is one step's draw: ()
     for the one chain of an HMM (a 2TBN is unrolled once), (L,) for a
-    coupled HMM.
+    coupled HMM.  A 2TBN's symbol is its state: its emission row i is the
+    view ``[-inf] * i + [inf]`` of one row, which draws i at every uniform,
+    in place of an n x n identity table.
     """
-    if isinstance(model, Tbn2Model):
-        model = unroll_tbn(model)
-    if isinstance(model, HmmModel):
-        return (), [_cumulative(model.pi)], [(_cumulative(model.trans), itemgetter(0))], [_cumulative(model.emit)]
     if isinstance(model, ChmmModel):
         initials, emissions = map(_cumulative, model.initials), map(_cumulative, model.emissions)
         transitions = [(_cumulative(t), itemgetter(*model.parents(l))) for l, t in enumerate(model._chain_tables)]
         return (model.num_chains,), list(initials), transitions, list(emissions)
-    raise TypeError(f"cannot sample from model type {type(model).__name__}")
+    if isinstance(model, Tbn2Model):
+        model = unroll_tbn(model)
+        row = np.r_[np.full(model.num_states - 1, -np.inf), np.inf]
+        emissions = [row[-1 - i :] for i in range(model.num_states)]
+    elif isinstance(model, HmmModel):
+        emissions = _cumulative(model.emit)
+    else:
+        raise TypeError(f"cannot sample from model type {type(model).__name__}")
+    return (), [_cumulative(model.pi)], [(_cumulative(model.trans), itemgetter(0))], [emissions]
 
 
 def _sampled(chains, length, seed):

@@ -29,6 +29,27 @@ def traced_peak():
 
 
 @pytest.fixture
+def calls_to(monkeypatch):
+    """``calls_to(owner, name)`` patches ``owner.name`` with a wrapper that forwards every call.
+
+    It returns the list into which the wrapper records each call's positional
+    arguments, as a tuple, in call order.
+    """
+
+    def patch(owner, name):
+        calls, original = [], getattr(owner, name)
+
+        def forwarding(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, forwarding)
+        return calls
+
+    return patch
+
+
+@pytest.fixture
 def worked_model():
     """Two-state fixture whose likelihood and best path are known in closed form."""
     return HmmModel(

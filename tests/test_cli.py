@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from dbnkit import HmmModel, cli, convert, load_model, random_chmm, random_hmm, sampling, save_model, unroll_tbn
+from dbnkit import HmmModel, cli, convert, inference, load_model, random_chmm, random_hmm, sampling, save_model
 from dbnkit.cli import main
 
 
@@ -36,6 +36,14 @@ def test_validate_refuses_a_chain_table_over_the_byte_budget(tmp_path, capsys, m
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: chain 1 transition table (4 x 4 x 4) needs 512 bytes, over the budget of 511\n"
+
+
+def test_validate_reports_a_row_sum_past_the_float_range_in_one_line(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text('{"type": "hmm", "num_states": 2, "num_symbols": 2, "pi": [0.5, 0.5], '
+                    '"A": [[1e308, 1e308], [0.5, 0.5]], "B": [[0.5, 0.5], [0.5, 0.5]]}')
+    assert main(["validate", "--model", str(path)]) == 2
+    assert capsys.readouterr().err == "error: A row 0 sums to inf, expected 1\n"
 
 
 def test_validate_bad_model(tmp_path, capsys):
@@ -264,6 +272,18 @@ def test_particle_filter_refuses_a_lifting_table_over_the_byte_budget(tmp_path, 
     assert captured.err == "error: particle lifting table (5 x 8) needs 320 bytes, over the budget of 200\n"
 
 
+def test_particle_filter_checks_its_arguments_and_builds_its_lifting_table_once_per_file(tmp_path, capsys, calls_to):
+    model_path, obs_path = tmp_path / "model.json", tmp_path / "obs.txt"
+    save_model(random_hmm(5, 2, np.random.default_rng(4)), model_path)
+    obs_path.write_text("0 1 1\n1 0\n0 0 1 1\n")
+    tables = calls_to(inference, "_lifting_table")
+    checks = calls_to(inference, "_check_array_bytes")
+    assert main(["filter", "--model", str(model_path), "--obs", str(obs_path), "--particles", "10"]) == 0
+    assert len(tables) == 1
+    assert checks == [("particle ensemble", 10), ("particle lifting table", 5, 8)]
+    assert capsys.readouterr().out.count("\n\n") == 2
+
+
 def test_sample_refused_by_the_budget_opens_no_output_file(model_file, tmp_path, monkeypatch, capsys):
     obs_path, states_path = tmp_path / "obs.txt", tmp_path / "states.txt"
     obs_path.write_text("0 1\n")
@@ -404,29 +424,17 @@ def test_tbn2_commands(tbn_file, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["likelihood", "smooth", "filter", "predict"])
-def test_tbn2_unrolled_once_per_command(tbn_file, tmp_path, monkeypatch, capsys, command):
+def test_tbn2_unrolled_once_per_command(tbn_file, tmp_path, capsys, calls_to, command):
     obs_path = tmp_path / "obs.txt"
     obs_path.write_text("0 0 1\n1 1\n0 1 1 0\n")
-    calls = []
-
-    def counting_unroll(model):
-        calls.append(model)
-        return unroll_tbn(model)
-
-    monkeypatch.setattr(convert, "unroll_tbn", counting_unroll)
+    calls = calls_to(convert, "unroll_tbn")
     assert main([command, "--model", tbn_file, "--obs", str(obs_path)]) == 0
     assert len(calls) == 1
     assert capsys.readouterr().out.count("\n\n") == (2 if command in ("smooth", "filter") else 0)
 
 
-def test_tbn2_unrolled_once_per_sample_command(tbn_file, monkeypatch, capsys):
-    calls = []
-
-    def counting_unroll(model):
-        calls.append(model)
-        return unroll_tbn(model)
-
-    monkeypatch.setattr(sampling, "unroll_tbn", counting_unroll)
+def test_tbn2_unrolled_once_per_sample_command(tbn_file, capsys, calls_to):
+    calls = calls_to(sampling, "unroll_tbn")
     assert main(["sample", "--model", tbn_file, "--length", "6", "--count", "3", "--seed", "4"]) == 0
     assert len(calls) == 1
     assert capsys.readouterr().out.count("\n") == 3

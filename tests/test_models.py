@@ -111,6 +111,16 @@ def test_check_distribution_tolerance():
         check_distribution(np.array([0.5, 0.5 + 5e-9]))
 
 
+def test_a_sum_past_the_float_range_is_rejected_without_numpy_warning():
+    # tier-1 turns warnings into errors, so numpy's overflow warning would fail these first
+    with pytest.raises(ModelValidationError, match=r"^distribution sums to inf, expected 1$"):
+        check_distribution(np.array([1e308, 1e308]))
+    with pytest.raises(ModelValidationError, match=r"^A row 0 sums to inf, expected 1$"):
+        _check_stochastic_matrix(np.array([[1e308, 1e308], [0.5, 0.5]]), "A")
+    with pytest.raises(ModelValidationError, match=r"^A row 0 sums to inf, expected 1$"):
+        HmmModel(pi=[0.5, 0.5], trans=[[1e308, 1e308], [0.5, 0.5]], emit=[[1.0], [1.0]])
+
+
 def _one_chain_chmm():
     return ChmmModel(
         initials=[[0.3, 0.7]],

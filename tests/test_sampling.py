@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from dbnkit import (
     validate_chmm,
     validate_hmm,
 )
+from dbnkit.sampling import _chains
 
 
 def test_same_seed_reproduces_hmm_sample(worked_model):
@@ -174,6 +177,31 @@ def test_tbn2_sample_is_the_sample_of_its_unrolled_chain():
             assert x.dtype == y.dtype and x.shape == y.shape == (50,)
             assert np.array_equal(x, y)
         assert np.array_equal(got[0], got[1])  # a 2TBN observes its joint assignment
+
+
+def test_a_2tbn_is_sampled_without_an_identity_emission_table():
+    # eight binary variables, each following its own past: 256 joint states, the size of hmm-query's template
+    variables = [
+        TbnVariable(card=2, init_parents=(), init_cpt=[[0.5, 0.5]], trans_parents=((0, v),),
+                    trans_cpt=[[0.9, 0.1], [0.2, 0.8]])
+        for v in range(8)
+    ]
+    tbn = Tbn2Model(variables=variables)
+    chain = unroll_tbn(tbn)
+
+    def held_bytes(model):
+        tracemalloc.start()
+        try:
+            view = _chains(model)  # alive while the traced bytes are read
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    # the unrolled chain's view holds two 256 x 256 cumulative tables, the 2TBN's one
+    assert held_bytes(tbn) <= 2 / 3 * held_bytes(chain)
+    for seed in range(3):
+        for x, y in zip(sample(tbn, 300, seed), sample(chain, 300, seed)):
+            assert np.array_equal(x, y)
 
 
 def test_sample_refuses_an_unknown_model_type():
