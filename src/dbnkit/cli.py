@@ -250,9 +250,9 @@ def _cmd_predict(args):
         raise _UsageError("--observation predicts one step ahead; --horizon must be 1")
     model = load_model(args.model)
     inputs = _query_inputs(model, args.obs)
-    emit = _joint_emission(model) if args.observation else None
+    emitted = _joint_emission(model) if args.observation else None
     for p in inference._predicted(*inputs, args.horizon):
-        _print_row(p @ emit if args.observation else p)
+        _print_row(emitted(p) if args.observation else p)
     return 0
 
 

@@ -2,12 +2,13 @@
 
 Joint indices are row-major over the component order (component 0 varies
 slowest), for both states and symbols; only this module builds or reads
-them.  :func:`_joint_view` gives every query its model's chain and evidence,
-a coupled HMM's joint transition broadcast from its chain tables.  Its other
-tables are one :func:`_product` over chains, and :func:`_marginal` reads
-chain and coupling-pair marginals back.  ``flatten_chmm`` gathers the same
-tables by joint-state digits instead: a second, structurally different route,
-which no query takes and which the tests and the oracle compare against.
+them.  :func:`_joint_view` gives every query its model's chain and evidence;
+one builder broadcasts every joint transition, a coupled HMM's from its chain
+tables and a 2TBN's from its CPTs.  Other tables are one :func:`_product`
+over chains, and :func:`_marginal` reads chain and coupling-pair marginals
+back.  ``flatten_chmm`` gathers the same tables by joint-state digits: a
+second, structurally different route, which no query takes and which the
+tests and the oracle compare against.
 """
 
 from __future__ import annotations
@@ -87,40 +88,41 @@ def hmm_to_chmm(model: HmmModel) -> ChmmModel:
 
 
 def unroll_tbn(model: Tbn2Model) -> HmmModel:
-    """Unroll a two-slice template into its joint-state chain.
-
-    Joint state r encodes an assignment of all template variables, variable
-    0 slowest.  The initial distribution multiplies the initial-network
-    CPTs; the transition multiplies each variable's two-slice CPT at its
-    parents' values, with slice-0 parents read from the source assignment
-    and slice-1 parents from the destination.  The chain is fully observed:
-    the symbol alphabet is the joint assignment space and the emission
-    matrix is the identity.  Raises SizeCapError, before building anything,
-    if one n x n array (float or int64 index) exceeds the byte budget.
-    """
+    """A two-slice template's joint chain (:func:`_tbn_chain`) as a validated HmmModel, with the identity emission."""
     if not isinstance(model, Tbn2Model):
         raise TypeError(f"unroll_tbn expects a Tbn2Model, got {type(model).__name__}")
+    pi, trans = _tbn_chain(model)
+    return HmmModel(pi=pi, trans=trans, emit=np.eye(len(pi)))
+
+
+def _broadcast_product(grid, factors):
+    """The product, left to right, of ``(table, axes)`` factors broadcast over ``grid``, row-major.
+
+    ``table`` is read row-major over the grid axes ``axes``, in that order.
+    Axes of size 1 are dropped from the result, so any number of them fit.
+    """
+    live = [k for k, size in enumerate(grid) if size > 1]
+    out = np.ones([grid[k] for k in live])
+    for table, axes in factors:
+        table = table.reshape([grid[a] for a in axes]).transpose(sorted(range(len(axes)), key=axes.__getitem__))
+        out *= table.reshape([grid[k] if k in axes else 1 for k in live])
+    return out
+
+
+def _tbn_chain(model: Tbn2Model):
+    """``(pi, trans)``: a 2TBN's joint chain, over assignments of all its variables (variable 0 slowest).
+
+    Both multiply, in variable order, each variable's initial or two-slice
+    CPT; slice-0 parents index the source and slice-1 parents the
+    destination.  Raises SizeCapError first if trans would not fit the budget.
+    """
     cards = model.cardinalities
-    n = math.prod(cards)
+    V, n = len(cards), math.prod(cards)
     _check_array_bytes("joint transition", n, n)
-    digit = np.unravel_index(np.arange(n), cards)
-
-    pi = np.ones(n)
-    for v, var in enumerate(model.variables):
-        row = np.zeros(n, dtype=np.int64)
-        for p in var.init_parents:
-            row = row * cards[p] + digit[p]
-        pi = pi * var.init_cpt[row, digit[v]]
-
-    trans = np.ones((n, n))
-    for v, var in enumerate(model.variables):
-        row = np.zeros((n, n), dtype=np.int64)
-        for s, p in var.trans_parents:
-            vals = digit[p][:, None] if s == 0 else digit[p][None, :]
-            row = row * cards[p] + vals
-        trans = trans * var.trans_cpt[row, digit[v][None, :]]
-
-    return HmmModel(pi=pi, trans=trans, emit=np.eye(n))
+    pi = _broadcast_product(cards, [(var.init_cpt, var.init_parents + (v,)) for v, var in enumerate(model.variables)])
+    families = ([p + V * s for s, p in var.trans_parents + ((1, v),)] for v, var in enumerate(model.variables))
+    trans = _broadcast_product(cards + cards, [(var.trans_cpt, f) for var, f in zip(model.variables, families)])
+    return pi.reshape(n), trans.reshape(n, n)
 
 
 def _joint_transition(model: ChmmModel):
@@ -132,14 +134,9 @@ def _joint_transition(model: ChmmModel):
     """
     sizes = model.states_per_chain
     L = model.num_chains
-    out = np.ones(sizes + sizes)
-    for l in range(L):
-        parents = model.parents(l)
-        axes = [sizes[k] if k in parents else 1 for k in range(L)]
-        axes += [sizes[k] if k == l else 1 for k in range(L)]
-        out *= model._chain_tables[l].reshape(axes)
-    n = int(np.prod(sizes))
-    return out.reshape(n, n)
+    factors = [(table, model.parents(l) + (L + l,)) for l, table in enumerate(model._chain_tables)]
+    n = math.prod(sizes)
+    return _broadcast_product(sizes + sizes, factors).reshape(n, n)
 
 
 def _product(factors):
@@ -180,12 +177,14 @@ def _joint_view(model):
     """``(pi, trans, evidence)``: the joint chain of any model, and its evidence tables.
 
     ``evidence(obs)`` maps validated observations, one sequence or a
-    time-major stack, to a new evidence table over the chain's states.  A
-    2TBN is unrolled and a coupled HMM's joint chain is built, each once per
+    time-major stack, to a new evidence table over the chain's states: a
+    2TBN's is one-hot.  A 2TBN's or coupled HMM's chain is built once per
     call, after checking the transition's bytes.
     """
     if isinstance(model, Tbn2Model):
-        model = unroll_tbn(model)
+        pi, trans = _tbn_chain(model)
+        states = np.arange(len(pi))
+        return pi, trans, lambda obs: (obs[..., None] == states).astype(np.float64)
     if isinstance(model, ChmmModel):
         sizes = model.states_per_chain
         _check_array_bytes("joint transition", *sizes, *sizes)
@@ -195,11 +194,12 @@ def _joint_view(model):
 
 
 def _joint_emission(model):
-    """The n x m emission of a model's joint chain; a coupled model's column s is joint symbol s's evidence."""
+    """``p -> p @ emit`` over a model's joint chain; a coupled model's column s is joint symbol s's evidence."""
     if isinstance(model, Tbn2Model):
-        return np.eye(math.prod(model.cardinalities))
+        return lambda p: p  # its symbol is its state: no n x n identity
     if isinstance(model, HmmModel):
-        return model.emit
+        return lambda p: p @ model.emit
     symbols = model.symbols_per_chain
     _check_array_bytes("joint emission", math.prod(model.states_per_chain), math.prod(symbols))
-    return np.ascontiguousarray(_evidence_table(model, np.indices(symbols).reshape(len(symbols), -1).T).T)
+    emit = np.ascontiguousarray(_evidence_table(model, np.indices(symbols).reshape(len(symbols), -1).T).T)
+    return lambda p: p @ emit

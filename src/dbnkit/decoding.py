@@ -78,8 +78,10 @@ def _viterbi_paths(pi, trans, sequences, evidence):
     returns is logged in place.  See :func:`dbnkit.inference._in_length_stacks`
     for the stacks and for the error raised on an impossible observation.
     """
+    # _viterbi_stack's contiguous log_trans.T is ``into``; np.array copies even at n = 1.
+    into = np.array(trans.T, order="C")
     with np.errstate(divide="ignore"):
-        log_pi, log_trans = np.log(pi), np.log(trans)
+        log_pi, log_trans = np.log(pi), np.log(into, out=into).T
 
     def run(obs):
         log_E = evidence(obs)

@@ -11,13 +11,13 @@ state i, so each step works on one contiguous block; a single sequence is a
 stack of one.  Every query takes its chain and evidence from
 :func:`dbnkit.convert._joint_view`, so it accepts an HMM, a coupled HMM or a
 2TBN: an HMM's tables are its emission columns (``emit.T[obs]``), a coupled
-HMM's the products of its per-chain columns.  Each query has one route over
-``(pi, trans, sequences, evidence)``, which stacks the sequences of each
-length within consecutive windows of a file that fit the byte budget, runs
-every table of a stack in the same step, and yields the query's result for
-each sequence.  The CLI runs a route on a file, and each public query runs
-it on a list of one sequence (:func:`_one`).  Baum-Welch and coupled EM
-share its E-step.
+HMM's the products of its per-chain columns, a 2TBN's one-hot rows.  Each
+query has one route over ``(pi, trans, sequences, evidence)``, which stacks
+the sequences of each length within consecutive windows of a file that fit
+the byte budget, runs every table of a stack in the same step, and yields
+the query's result for each sequence.  The CLI runs a route on a file, and
+each public query runs it on a list of one sequence (:func:`_one`).
+Baum-Welch and coupled EM share its E-step.
 """
 
 from __future__ import annotations
@@ -373,7 +373,7 @@ def predict_state(model, obs, horizon: int = 1) -> np.ndarray:
 
 def predict_obs(model, obs) -> np.ndarray:
     """One-step-ahead symbol distribution P(y_{T+1} | y_{1:T}), over a coupled model's joint symbols."""
-    return predict_state(model, obs, 1) @ _joint_emission(model)
+    return _joint_emission(model)(predict_state(model, obs, 1))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,13 +1,13 @@
 """Seeded generative sampling, plus random-model construction for testing.
 
 Every model is sampled as chains, one slice at a time: an HMM is one chain
-whose parent is itself, a 2TBN is its unrolled HMM, and a coupled HMM draws
-each chain's state from its table at its parents' previous states.  All
-draws run through a single ``numpy.random.default_rng(seed)`` stream in a
-fixed order (every chain's state, then every chain's symbol, one step at a
-time), so output is a pure function of (model, length, seed).  Bit-exact
-reproducibility across numpy versions is not promised; statistical
-tolerances absorb that.
+whose parent is itself, a 2TBN is its joint chain, whose symbol is its
+state, and a coupled HMM draws each chain's state from its table at its
+parents' previous states.  All draws run through a single
+``numpy.random.default_rng(seed)`` stream in a fixed order (every chain's
+state, then every chain's symbol, one step at a time), so output is a pure
+function of (model, length, seed).  Bit-exact reproducibility across numpy
+versions is not promised; statistical tolerances absorb that.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .convert import unroll_tbn
+from .convert import _tbn_chain
 from .models import ChmmModel, HmmModel, Tbn2Model, _check_array_bytes, _index, nearest_neighbor_parents
 
 
@@ -24,7 +24,7 @@ def sample(model, length: int, seed: int):
     """Draw (state path, observations) of ``length`` steps from the model.
 
     For an HmmModel both outputs are 1-D int arrays of length T, and for a
-    Tbn2Model they are those of its unrolled HMM.  For a ChmmModel both are
+    Tbn2Model they are those of its joint chain.  For a ChmmModel both are
     (T, L) arrays with one state/symbol per chain.  Raises SizeCapError,
     before drawing anything, if one of them would not fit the byte budget.
     """
@@ -47,7 +47,7 @@ def _chains(model):
     Each chain has a cumulative initial row, a cumulative transition table
     paired with a getter of its parents' entries from the previous step's
     states, and cumulative emission rows.  ``shape`` is one step's draw: ()
-    for the one chain of an HMM (a 2TBN is unrolled once), (L,) for a
+    for the one chain of an HMM or of a 2TBN (built once), (L,) for a
     coupled HMM.  A 2TBN's symbol is its state: its emission row i is the
     view ``[-inf] * i + [inf]`` of one row, which draws i at every uniform,
     in place of an n x n identity table.
@@ -57,14 +57,14 @@ def _chains(model):
         transitions = [(_cumulative(t), itemgetter(*model.parents(l))) for l, t in enumerate(model._chain_tables)]
         return (model.num_chains,), list(initials), transitions, list(emissions)
     if isinstance(model, Tbn2Model):
-        model = unroll_tbn(model)
-        row = np.r_[np.full(model.num_states - 1, -np.inf), np.inf]
-        emissions = [row[-1 - i :] for i in range(model.num_states)]
+        pi, trans = _tbn_chain(model)
+        row = np.r_[np.full(len(pi) - 1, -np.inf), np.inf]
+        emissions = [row[-1 - i :] for i in range(len(pi))]
     elif isinstance(model, HmmModel):
-        emissions = _cumulative(model.emit)
+        pi, trans, emissions = model.pi, model.trans, _cumulative(model.emit)
     else:
         raise TypeError(f"cannot sample from model type {type(model).__name__}")
-    return (), [_cumulative(model.pi)], [(_cumulative(model.trans), itemgetter(0))], [emissions]
+    return (), [_cumulative(pi)], [(_cumulative(trans), itemgetter(0))], [emissions]
 
 
 def _sampled(chains, length, seed):

@@ -10,7 +10,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
-from dbnkit import HmmModel
+from dbnkit import HmmModel, models
 
 
 @pytest.fixture
@@ -24,6 +24,22 @@ def traced_peak():
             return result, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    return run
+
+
+@pytest.fixture
+def peak_in_budgets(monkeypatch, traced_peak):
+    """``peak_in_budgets(budget, call)`` returns ``call()`` and its traced peak, in units of ``budget`` bytes.
+
+    ``models.MAX_ARRAY_BYTES`` is set to ``budget`` before the call, for the
+    rest of the test.
+    """
+
+    def run(budget, call):
+        monkeypatch.setattr(models, "MAX_ARRAY_BYTES", budget)
+        result, peak = traced_peak(call)
+        return result, peak / budget
 
     return run
 

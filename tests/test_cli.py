@@ -427,14 +427,14 @@ def test_tbn2_commands(tbn_file, tmp_path, capsys):
 def test_tbn2_unrolled_once_per_command(tbn_file, tmp_path, capsys, calls_to, command):
     obs_path = tmp_path / "obs.txt"
     obs_path.write_text("0 0 1\n1 1\n0 1 1 0\n")
-    calls = calls_to(convert, "unroll_tbn")
+    calls = calls_to(convert, "_tbn_chain")
     assert main([command, "--model", tbn_file, "--obs", str(obs_path)]) == 0
     assert len(calls) == 1
     assert capsys.readouterr().out.count("\n\n") == (2 if command in ("smooth", "filter") else 0)
 
 
 def test_tbn2_unrolled_once_per_sample_command(tbn_file, capsys, calls_to):
-    calls = calls_to(sampling, "unroll_tbn")
+    calls = calls_to(sampling, "_tbn_chain")
     assert main(["sample", "--model", tbn_file, "--length", "6", "--count", "3", "--seed", "4"]) == 0
     assert len(calls) == 1
     assert capsys.readouterr().out.count("\n") == 3

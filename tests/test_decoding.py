@@ -191,3 +191,14 @@ def test_viterbi_stack_matches_column_reference_per_sequence(B, n):
     if n > 1:
         assert outcomes[B // 2] == "impossible"
         assert B == 1 or "path" in outcomes
+
+
+def test_viterbi_holds_one_log_transition(peak_in_budgets):
+    # Beyond the model, decoding holds the transposed log transition and the
+    # B x n x n candidate buffer, one n x n table each here (B = 1).
+    n = 1024
+    model = random_hmm(n, 2, np.random.default_rng(6))
+    obs = np.random.default_rng(7).integers(0, 2, size=5)
+    result, peak = peak_in_budgets(8 * n * n, lambda: viterbi(model, obs))
+    assert result.path.shape == (5,)
+    assert peak <= 2.1
