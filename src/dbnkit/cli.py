@@ -353,10 +353,7 @@ def main(argv=None) -> int:
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return USAGE_EXIT
-    except DbnError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return DATA_EXIT
-    except OSError as err:
+    except (DbnError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return DATA_EXIT
 

@@ -189,33 +189,24 @@ def parse_obs_line(text, ctx="observation"):
     symbols above 2**63 - 1, are rejected (missing values are not supported).
 
     A line whose symbols are all plain (:func:`_plain_symbols`) and, with
-    commas, whose steps all have as many commas as the first, is converted
+    commas, whose steps all have as many symbols as the first, is converted
     in one ``np.array`` call; any other line takes the token-by-token loop,
-    which names the first bad token.
+    which names the first bad step or token.
     """
     tokens = text.split()
     if not tokens:
         raise ModelFormatError(f"{ctx}: empty observation sequence")
-    if "," in text:
-        commas = tokens[0].count(",")
-        parts = ",".join(tokens).split(",")
-        if _plain_symbols(parts) and all(tok.count(",") == commas for tok in tokens):
-            return np.array(parts, dtype=np.int64).reshape(len(tokens), commas + 1)
-        rows = []
-        arity = None
+    chained = "," in text
+    arity = tokens[0].count(",") + 1
+    symbols = ",".join(tokens).split(",") if chained else tokens
+    if not (_plain_symbols(symbols) and (not chained or all(tok.count(",") == arity - 1 for tok in tokens))):
+        symbols = []
         for step, tok in enumerate(tokens):
             parts = tok.split(",")
-            if arity is None:
-                arity = len(parts)
-            elif len(parts) != arity:
-                raise ModelFormatError(
-                    f"{ctx}: step {step} has {len(parts)} chain symbols, expected {arity}"
-                )
-            rows.append([_parse_symbol(p, ctx, step) for p in parts])
-        return np.array(rows, dtype=np.int64)
-    if _plain_symbols(tokens):
-        return np.array(tokens, dtype=np.int64)
-    return np.array([_parse_symbol(tok, ctx, step) for step, tok in enumerate(tokens)], dtype=np.int64)
+            if len(parts) != arity:
+                raise ModelFormatError(f"{ctx}: step {step} has {len(parts)} chain symbols, expected {arity}")
+            symbols += [_parse_symbol(p, ctx, step) for p in parts]
+    return np.array(symbols, dtype=np.int64).reshape((len(tokens), arity) if chained else len(tokens))
 
 
 def _plain_symbols(parts):

@@ -66,13 +66,7 @@ def normalize_rows(counts: np.ndarray, pseudocount: float = 0.0) -> np.ndarray:
     """Row-normalize counts after adding ``pseudocount``; empty rows go uniform."""
     c = counts + pseudocount
     totals = c.sum(axis=1, keepdims=True)
-    empty = totals[:, 0] == 0.0
-    if not empty.any():
-        return c / totals
-    out = np.empty(c.shape, dtype=np.float64)
-    out[empty] = 1.0 / c.shape[1]
-    out[~empty] = c[~empty] / totals[~empty]
-    return out
+    return np.divide(c, totals, out=np.full(c.shape, 1.0 / c.shape[1]), where=totals != 0.0)
 
 
 def mle_complete(data, num_states: int, num_symbols: int, pseudocount: float = 0.0) -> HmmModel:

@@ -100,18 +100,6 @@ def _unstochastic_rows(mat):
     return (mat < 0.0).any(axis=1) | ~(np.abs(mat.sum(axis=1) - 1.0) <= PROB_ATOL / 2)
 
 
-def _check_stochastic_matrix(mat, name):
-    """Raise for the first row of ``mat`` that :func:`check_distribution` rejects.
-
-    Rows are screened with whole-array tests (:func:`_unstochastic_rows`) and
-    only flagged rows are checked one by one.
-    """
-    with np.errstate(invalid="ignore", over="ignore"):
-        flagged = _unstochastic_rows(mat)
-    for i in np.flatnonzero(flagged):
-        check_distribution(mat[i], f"{name} row {i}")
-
-
 # Tables of one width screened together are copied into one array first; past this
 # size the copy costs more than the numpy calls it saves, so each is screened in place.
 _SCREEN_GROUP_BYTES = 2**16
@@ -120,13 +108,13 @@ _SCREEN_GROUP_BYTES = 2**16
 def _screen(tables):
     """Whether any row of ``tables`` (``(array, name)`` pairs) fails :func:`_unstochastic_rows`.
 
-    Vectors are screened as one-row matrices, apart from matrices; tables of
-    one kind and row width are screened as one concatenated array when there
-    are several and they fit both _SCREEN_GROUP_BYTES and MAX_ARRAY_BYTES.
+    Vectors are screened as one-row matrices, and tables of one row width,
+    vectors and matrices alike, as one concatenated array when there are
+    several and they fit both _SCREEN_GROUP_BYTES and MAX_ARRAY_BYTES.
     """
     groups = {}
     for arr, _ in tables:
-        groups.setdefault((arr.ndim, arr.shape[-1]), []).append(arr if arr.ndim == 2 else arr[None])
+        groups.setdefault(arr.shape[-1], []).append(arr if arr.ndim == 2 else arr[None])
     # A sum past the float range is inf and flagged; the per-table checks that follow are not silenced.
     with np.errstate(invalid="ignore", over="ignore"):
         for group in groups.values():
@@ -138,12 +126,18 @@ def _screen(tables):
 
 
 def _check_each(tables):
-    """Check ``tables`` (``(array, name)`` pairs) in order: vectors as distributions, matrices row by row."""
+    """Check ``tables`` (``(array, name)`` pairs) in order: vectors as distributions, matrices row by row.
+
+    Only the matrix rows that :func:`_unstochastic_rows` flags are checked one by one.
+    """
     for arr, name in tables:
         if arr.ndim == 1:
             check_distribution(arr, name)
-        else:
-            _check_stochastic_matrix(arr, name)
+            continue
+        with np.errstate(invalid="ignore", over="ignore"):
+            flagged = _unstochastic_rows(arr)
+        for i in np.flatnonzero(flagged):
+            check_distribution(arr[i], f"{name} row {i}")
 
 
 def _check_tables(tables):

@@ -34,9 +34,9 @@ def sample(model, length: int, seed: int):
     return _sampled(_chains(model), length, seed)
 
 
-def _cumulative(table):
-    """Cumulative rows over the last axis, the last entry raised to infinity so that no draw runs past it."""
-    out = np.cumsum(table, axis=-1)
+def _cumulative(table, out=None):
+    """Cumulative rows over the last axis, into ``out`` (may be ``table``), the last entry inf so no draw runs past it."""
+    out = np.cumsum(table, axis=-1, out=out)
     out[..., -1] = np.inf
     return out
 
@@ -47,10 +47,10 @@ def _chains(model):
     Each chain has a cumulative initial row, a cumulative transition table
     paired with a getter of its parents' entries from the previous step's
     states, and cumulative emission rows.  ``shape`` is one step's draw: ()
-    for the one chain of an HMM or of a 2TBN (built once), (L,) for a
-    coupled HMM.  A 2TBN's symbol is its state: its emission row i is the
-    view ``[-inf] * i + [inf]`` of one row, which draws i at every uniform,
-    in place of an n x n identity table.
+    for the one chain of an HMM or of a 2TBN (built once and accumulated in
+    place), (L,) for a coupled HMM.  A 2TBN's symbol is its state: its
+    emission row i is the view ``[-inf] * i + [inf]`` of one row, which draws
+    i at every uniform, in place of an n x n identity table.
     """
     if isinstance(model, ChmmModel):
         initials, emissions = map(_cumulative, model.initials), map(_cumulative, model.emissions)
@@ -58,13 +58,14 @@ def _chains(model):
         return (model.num_chains,), list(initials), transitions, list(emissions)
     if isinstance(model, Tbn2Model):
         pi, trans = _tbn_chain(model)
+        trans = _cumulative(trans, out=trans)
         row = np.r_[np.full(len(pi) - 1, -np.inf), np.inf]
         emissions = [row[-1 - i :] for i in range(len(pi))]
     elif isinstance(model, HmmModel):
-        pi, trans, emissions = model.pi, model.trans, _cumulative(model.emit)
+        pi, trans, emissions = model.pi, _cumulative(model.trans), _cumulative(model.emit)
     else:
         raise TypeError(f"cannot sample from model type {type(model).__name__}")
-    return (), [_cumulative(pi)], [(_cumulative(trans), itemgetter(0))], [emissions]
+    return (), [_cumulative(pi)], [(trans, itemgetter(0))], [emissions]
 
 
 def _sampled(chains, length, seed):

@@ -527,6 +527,8 @@ def test_parse_obs_line_matches_the_token_loop_on_random_lines():
         "1200, 0", "1,,2 3,4", "1, 2", "0,1 1 0,0", "1,2,", ",1 2,3", "0\t1\t2", "0 -1 1", "3 ١ 2",
         "999999999999999999 1", "9223372036854775807 0", "9223372036854775808", "1,9223372036854775808",
         "00000000000000000001 2", "1" + "0" * 19, "0,1 1,1 0,0", "7", "5,6", "1_0", "+1 2",
+        # past int()'s 4,300-digit limit, in both line kinds
+        "0" * 5000 + "1 2", "1" + "0" * 5000 + " 2", "3," + "0" * 5000 + "1 4,5", "3,4 5," + "1" * 5000,
     ],
 )
 def test_parse_obs_line_edge_cases_match_the_token_loop(text):

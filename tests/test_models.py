@@ -17,7 +17,7 @@ from dbnkit import (
     validate_obs,
 )
 from dbnkit import models
-from dbnkit.models import PROB_ATOL, _check_stochastic_matrix
+from dbnkit.models import PROB_ATOL, _check_each
 
 
 def test_degenerate_one_state_model_is_valid():
@@ -37,7 +37,7 @@ def test_row_stochasticity_error_names_row_and_sum():
 
 
 def _row_loop_check(mat, name):
-    """The per-row loop that _check_stochastic_matrix replaced, kept as its reference."""
+    """The per-row loop that _check_each's matrix check replaced, kept as its reference."""
     for i in range(mat.shape[0]):
         check_distribution(mat[i], f"{name} row {i}")
 
@@ -78,7 +78,7 @@ def test_stochastic_matrix_check_matches_row_loop(rows, cols, seed, faults):
             mat[r, c] = -abs(offset) or -1e-300
         else:
             mat[r, c] += offset
-    assert _rejection(_check_stochastic_matrix, mat) == _rejection(_row_loop_check, mat)
+    assert _rejection(lambda m, name: _check_each([(m, name)]), mat) == _rejection(_row_loop_check, mat)
 
 
 def test_dimension_error_names_field():
@@ -116,7 +116,7 @@ def test_a_sum_past_the_float_range_is_rejected_without_numpy_warning():
     with pytest.raises(ModelValidationError, match=r"^distribution sums to inf, expected 1$"):
         check_distribution(np.array([1e308, 1e308]))
     with pytest.raises(ModelValidationError, match=r"^A row 0 sums to inf, expected 1$"):
-        _check_stochastic_matrix(np.array([[1e308, 1e308], [0.5, 0.5]]), "A")
+        _check_each([(np.array([[1e308, 1e308], [0.5, 0.5]]), "A")])
     with pytest.raises(ModelValidationError, match=r"^A row 0 sums to inf, expected 1$"):
         HmmModel(pi=[0.5, 0.5], trans=[[1e308, 1e308], [0.5, 0.5]], emit=[[1.0], [1.0]])
 

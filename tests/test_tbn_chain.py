@@ -188,13 +188,13 @@ def binary_template_files(tmp_path_factory):
         (["smooth"], 1.1),
         (["predict"], 1.1),
         (["decode"], 2.1),
-        (["sample", "--length", "5", "--count", "2"], 2.1),
+        (["sample", "--length", "5", "--count", "2"], 1.1),
     ],
     ids=["likelihood", "filter", "smooth", "predict", "decode", "sample"],
 )
 def test_a_2tbn_command_holds_its_chain_once(binary_template_files, peak_in_budgets, capsys, argv, bound):
-    # Each command holds one n x n transition; decode adds its log and sample
-    # its cumulative rows.  Building the chain makes no other n x n table.
+    # Each command holds one n x n transition, and decode adds its log; sample
+    # accumulates its rows in place.  Building the chain makes no other n x n table.
     model_path, obs_path = binary_template_files
     args = [argv[0], "--model", model_path] + (argv[1:] if argv[0] == "sample" else ["--obs", obs_path])
     code, peak = peak_in_budgets(BUDGET, lambda: main(args))
