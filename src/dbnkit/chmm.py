@@ -111,7 +111,7 @@ def _total_log_likelihood(model, sequences):
 
 def _safeguarded_update(model, counts, sequences, current_ll, pseudocount):
     init_counts, emit_counts, pair_counts = counts
-    new_initials = [normalize_rows(c[None, :], pseudocount)[0] for c in init_counts]
+    new_initials = [normalize_rows(c, pseudocount) for c in init_counts]
     new_emissions = [normalize_rows(c, pseudocount) for c in emit_counts]
     proposed = {key: normalize_rows(c, pseudocount) for key, c in pair_counts.items()}
     slack = 1e-12 * (1.0 + abs(current_ll))

@@ -74,14 +74,14 @@ def _fmt(x) -> str:
 # Values per formatted block: small enough that every temporary of a block
 # (the largest is 64 KB) stays under glibc's default 128 KB mmap threshold.
 _BLOCK_VALUES = 2048
-# Lowest and highest decimal exponent of a fast-path value, with a margin
-# for 1e-280 and 1e280 not being exact powers of ten.
-_EXP_LO, _EXP_HI = -283, 283
+# Lowest and highest decimal exponent of a fast-path value, the lowest with a
+# margin for 1e-280 not being an exact power of ten.
+_EXP_LO, _EXP_HI = -283, 0
 # What precedes a value's digits, by lead code: a marker for a value left to
 # _fmt, zero, the fixed-notation leads of 1e-4 <= v < 1 (code 1 - exponent),
-# "10", and a first digit d alone or with the point (code 5 + 2d, 6 + 2d).
-_LEADS = ("\x01", "0", "0.", "0.0", "0.00", "0.000", "10") + tuple(f"{d}{p}" for d in range(1, 10) for p in ("", "."))
-_SLOW, _ZERO, _TEN = 0, 1, 6
+# and a first digit d alone or with the point (code 4 + 2d, 5 + 2d).
+_LEADS = ("\x01", "0", "0.", "0.0", "0.00", "0.000") + tuple(f"{d}{p}" for d in range(1, 10) for p in ("", "."))
+_SLOW, _ZERO = 0, 1
 
 
 @functools.cache
@@ -94,7 +94,7 @@ def _format_tables():
     the exponent ("e-05", or nothing for fixed notation), each as uint64.
     """
     exps = range(_EXP_LO, _EXP_HI + 1)
-    scale = np.array([float(10 ** (11 - k)) if k <= 11 else 1 / 10 ** (k - 11) for k in exps])
+    scale = np.array([float(10 ** (11 - k)) for k in exps])
     places = np.array([1000, 100, 10, 1], dtype=np.uint16)
     digits = (np.arange(10_000, dtype=np.uint16)[:, None] // places % 10).astype(np.uint8)
     chars = digits + np.uint8(ord("0"))
@@ -105,7 +105,7 @@ def _format_tables():
     def pack(texts):
         return np.array([int.from_bytes(t.encode(), "little") for t in texts], dtype="<u8")
 
-    suffix = pack(f"e{k:+03d}" if k < -4 or k >= 12 else "" for k in exps)
+    suffix = pack(f"e{k:+03d}" if k < -4 else "" for k in exps)
     tables = scale, full, strip, pack(_LEADS), suffix
     for table in tables:
         table.setflags(write=False)  # shared by every later call
@@ -115,16 +115,16 @@ def _format_tables():
 def _format_block(x, seps):
     """The text of a block of float64 values, ``format(v, ".12g")`` each, value i followed by ``seps[i]``.
 
-    Positive values in [1e-280, 10) or [1e12, 1e280] and +0.0 are formatted
-    here: scaled to 12 digits before the point, rounded, and assembled from the
-    lookup tables into four 8-byte slots per value (lead, digits, digits,
-    exponent with the separator in its last byte), whose zero padding is then
-    dropped.  The scaled value is within 2.3e-4 of the exact one, so a value
-    whose scaled fraction lies within 1e-3 of one half, and every other value,
-    goes to ``_fmt``.
+    Values in [1e-280, 1], the range of a probability table, and +0.0 are
+    formatted here: scaled to 12 digits before the point, rounded, and
+    assembled from the lookup tables into four 8-byte slots per value (lead,
+    digits, digits, exponent with the separator in its last byte), whose zero
+    padding is then dropped.  The scaled value is within 2.3e-4 of the exact
+    one, so a value whose scaled fraction lies within 1e-3 of one half, and
+    every other value, goes to ``_fmt``.
     """
     scale, full, strip, leads, suffix = _format_tables()
-    fast = (x >= 1e-280) & ((x < 10.0) | (x >= 1e12)) & (x <= 1e280)
+    fast = (x >= 1e-280) & (x <= 1.0)
     safe = np.where(fast, x, 1.0)
     k = np.floor(np.log10(safe)).astype(np.int64)
     s = safe * scale[k - _EXP_LO]
@@ -139,8 +139,7 @@ def _format_block(x, seps):
     head, rest = np.divmod(n, 10**11)
     fixed_neg = (k < 0) & (k >= -4)
     body = np.where(fixed_neg, n, rest * 10)
-    lead = np.where(fixed_neg, 1 - k, 5 + 2 * head + (rest != 0))
-    lead[k == 1] = _TEN  # a value below 10 that rounds up to 10
+    lead = np.where(fixed_neg, 1 - k, 4 + 2 * head + (rest != 0))
     zero = (x == 0.0) & ~np.signbit(x)
     lead = np.where(fast, lead, np.where(zero, _ZERO, _SLOW))
     fast |= zero
@@ -282,12 +281,9 @@ def _cmd_train(args):
 
 def _cmd_oracle_check(args):
     checks = run_equivalence_checks(args.count, args.seed)
-    ok = True
     for name, worst, tol in checks:
-        status = "ok" if worst <= tol else "FAIL"
-        if worst > tol:
-            ok = False
-        print(f"{name}: max deviation {worst:.3e} (tolerance {tol:.0e}) {status}")
+        print(f"{name}: max deviation {worst:.3e} (tolerance {tol:.0e}) {'ok' if worst <= tol else 'FAIL'}")
+    ok = all(worst <= tol for _, worst, tol in checks)
     print("all checks passed" if ok else "checks FAILED")
     return 0 if ok else DATA_EXIT
 

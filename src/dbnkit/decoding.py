@@ -33,24 +33,24 @@ class DecodeResult:
         object.__setattr__(self, "log_joint_score", float(self.log_joint_score))
 
 
-def _viterbi_stack(log_pi, log_trans, log_E):
+def _viterbi_stack(log_pi, into, log_E):
     """Viterbi over every table of the time-major stack ``log_E[T, B, n]`` at once.
 
-    ``log_E[t, b, i]`` is log P(y_t | x_t = i) for sequence b; ``log_pi`` and
-    ``log_trans`` may be unnormalized.  Returns ``(paths, scores, first)``:
-    ``paths[b]`` is sequence b's best path, ``scores[b]`` its log joint score,
-    and ``first[b]`` the first step at which every score of b is -inf, or T
-    if there is none; such a sequence's path and score are not to be read,
-    but the other sequences run on.  Each sequence's scores are computed
-    exactly as a stack of one would compute them: a step is elementwise adds
-    and a first-max argmax per state.
+    ``log_E[t, b, i]`` is log P(y_t | x_t = i) for sequence b, and the
+    C-ordered ``into[j, i]`` is log P(x_t = j | x_{t-1} = i), so row j holds
+    every way into state j; ``log_pi`` and ``into`` may be unnormalized.
+    Returns ``(paths, scores, first)``: ``paths[b]`` is sequence b's best
+    path, ``scores[b]`` its log joint score, and ``first[b]`` the first step
+    at which every score of b is -inf, or T if there is none; such a
+    sequence's path and score are not to be read, but the other sequences
+    run on.  Each sequence's scores are computed exactly as a stack of one
+    would compute them: a step is elementwise adds and a first-max argmax
+    per state.
     """
     T, B, n = log_E.shape
     back = np.empty((T, B, n), dtype=np.intp)
     dead = np.empty((T, B), dtype=bool)
-    # into[j, i] = log_trans[i, j]: row j holds every way into state j, contiguously,
-    # and cand is reused at every step; argmax keeps the first (smallest) predecessor.
-    into = np.ascontiguousarray(log_trans.T)
+    # cand is reused at every step; argmax keeps the first (smallest) predecessor.
     cand = np.empty((B, n, n))
     rows = np.arange(B * n).reshape(B, n) * n  # flat offset of cand[b, j, 0]
     score = log_pi + log_E[0]
@@ -78,16 +78,14 @@ def _viterbi_paths(pi, trans, sequences, evidence):
     returns is logged in place.  See :func:`dbnkit.inference._in_length_stacks`
     for the stacks and for the error raised on an impossible observation.
     """
-    # _viterbi_stack's contiguous log_trans.T is ``into``; np.array copies even at n = 1.
-    into = np.array(trans.T, order="C")
     with np.errstate(divide="ignore"):
-        log_pi, log_trans = np.log(pi), np.log(into, out=into).T
+        log_pi, into = np.log(pi), np.log(trans.T, order="C")
 
     def run(obs):
         log_E = evidence(obs)
         with np.errstate(divide="ignore"):
             np.log(log_E, out=log_E)
-        paths, scores, first = _viterbi_stack(log_pi, log_trans, log_E)
+        paths, scores, first = _viterbi_stack(log_pi, into, log_E)
         return first, lambda: map(DecodeResult, paths, scores)
 
     n = trans.shape[0]

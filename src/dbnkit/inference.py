@@ -399,27 +399,28 @@ class ParticleFilterResult:
         _freeze(self.estimates, self.ess, self.resampled, self.final_particles, self.final_weights)
 
 
-def _lifting_table(trans_cum):
-    """``(table, P)`` for :func:`_propagate`: row i is ``trans_cum[i, :n-1]``, +inf-padded to width P.
+def _lifting_table(trans):
+    """``(table, P)`` for :func:`_propagate`: row i is the running sums of ``trans[i, :n-1]``, +inf-padded to width P.
 
     P = 2**bit_length(n-1) exceeds n-1, so every row ends in at least one +inf.
-    P can be up to 2n - 2, so the table is checked against MAX_ARRAY_BYTES on its own.
+    P can be up to 2n - 2, so it is checked against MAX_ARRAY_BYTES on its own, before it is built.
     """
-    n = trans_cum.shape[0]
+    n = trans.shape[0]
     P = 1 << (n - 1).bit_length()
     _check_array_bytes("particle lifting table", n, P)
     table = np.full((n, P), np.inf)
-    table[:, : n - 1] = trans_cum[:, : n - 1]
+    np.cumsum(trans[:, : n - 1], axis=1, out=table[:, : n - 1])
     return table.ravel(), P
 
 
 def _propagate(table, P, x, u):
     """Next states ``min(#{j : trans_cum[x, j] <= u}, n-1)``, by binary lifting.
 
-    The rows of ``trans_cum`` are nondecreasing, so that is the count over the
-    first n-1 entries alone, which the lifting finds in log2 P rounds of one
-    lookup per particle: with ``pos`` the flat index of row x's entry k - 1,
-    k grows by ``b`` whenever entry ``k + b - 1`` of the padded row is <= u.
+    The rows of ``trans_cum``, the transition's running row sums, are
+    nondecreasing, so that is the count over the first n-1 entries alone,
+    which the lifting finds in log2 P rounds of one lookup per particle: with
+    ``pos`` the flat index of row x's entry k - 1, k grows by ``b`` whenever
+    entry ``k + b - 1`` of the padded row is <= u.
     """
     start = x * P - 1
     pos = start.copy()
@@ -439,8 +440,8 @@ def _systematic_resample(weights, rng):
 def _particle_filters(pi, trans, sequences, evidence, num_particles, seed, resample_threshold=0.5):
     """Yield :func:`particle_filter`'s result for each sequence, in order; a degenerate ensemble names its sequence.
 
-    The arguments are checked, and the initial row and the lifting table built
-    from :func:`dbnkit.sampling._cumulative` rows, once per file; each sequence
+    The arguments are checked, and the initial :func:`dbnkit.sampling._cumulative`
+    row and the lifting table built, once per file; each sequence
     runs on its own ``default_rng(seed)``, weighing step t's particles by row t
     of ``evidence(obs)``.
     """
@@ -451,7 +452,7 @@ def _particle_filters(pi, trans, sequences, evidence, num_particles, seed, resam
     if not 0.0 <= resample_threshold <= 1.0:
         raise ValueError(f"resample_threshold must be in [0, 1], got {resample_threshold}")
     initial = _cumulative(pi)
-    table, P = _lifting_table(_cumulative(trans))
+    table, P = _lifting_table(trans)
     for i, obs in enumerate(sequences):
         rng = np.random.default_rng(seed)
         E = evidence(obs)

@@ -47,19 +47,17 @@ class AllenRelation(enum.Enum):
 
 
 _INVERSES = {
-    AllenRelation.PRECEDES: AllenRelation.PRECEDED_BY,
-    AllenRelation.PRECEDED_BY: AllenRelation.PRECEDES,
-    AllenRelation.MEETS: AllenRelation.MET_BY,
-    AllenRelation.MET_BY: AllenRelation.MEETS,
-    AllenRelation.OVERLAPS: AllenRelation.OVERLAPPED_BY,
-    AllenRelation.OVERLAPPED_BY: AllenRelation.OVERLAPS,
-    AllenRelation.STARTS: AllenRelation.STARTED_BY,
-    AllenRelation.STARTED_BY: AllenRelation.STARTS,
-    AllenRelation.DURING: AllenRelation.CONTAINS,
-    AllenRelation.CONTAINS: AllenRelation.DURING,
-    AllenRelation.FINISHES: AllenRelation.FINISHED_BY,
-    AllenRelation.FINISHED_BY: AllenRelation.FINISHES,
-    AllenRelation.EQUALS: AllenRelation.EQUALS,
+    a: b
+    for x, y in (
+        (AllenRelation.PRECEDES, AllenRelation.PRECEDED_BY),
+        (AllenRelation.MEETS, AllenRelation.MET_BY),
+        (AllenRelation.OVERLAPS, AllenRelation.OVERLAPPED_BY),
+        (AllenRelation.STARTS, AllenRelation.STARTED_BY),
+        (AllenRelation.DURING, AllenRelation.CONTAINS),
+        (AllenRelation.FINISHES, AllenRelation.FINISHED_BY),
+        (AllenRelation.EQUALS, AllenRelation.EQUALS),
+    )
+    for a, b in ((x, y), (y, x))
 }
 
 

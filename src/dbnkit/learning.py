@@ -63,10 +63,10 @@ class EmTrace:
 
 
 def normalize_rows(counts: np.ndarray, pseudocount: float = 0.0) -> np.ndarray:
-    """Row-normalize counts after adding ``pseudocount``; empty rows go uniform."""
+    """Normalize counts over the last axis after adding ``pseudocount``; empty rows go uniform."""
     c = counts + pseudocount
-    totals = c.sum(axis=1, keepdims=True)
-    return np.divide(c, totals, out=np.full(c.shape, 1.0 / c.shape[1]), where=totals != 0.0)
+    totals = c.sum(axis=-1, keepdims=True)
+    return np.divide(c, totals, out=np.full(c.shape, 1.0 / c.shape[-1]), where=totals != 0.0)
 
 
 def mle_complete(data, num_states: int, num_symbols: int, pseudocount: float = 0.0) -> HmmModel:
@@ -126,7 +126,7 @@ def _e_step(model, sequences):
 def _m_step(counts, pseudocount):
     initial, transitions, emissions = counts
     return HmmModel(
-        pi=normalize_rows(initial[None, :], pseudocount)[0],
+        pi=normalize_rows(initial, pseudocount),
         trans=normalize_rows(transitions, pseudocount),
         emit=normalize_rows(emissions, pseudocount),
     )

@@ -423,22 +423,19 @@ def _tbn2_tables(model):
         for p in var.init_parents:
             if not 0 <= p < V:
                 raise ModelValidationError(f"var {i} init parent {p} outside 0..{V - 1}")
-        rows = 1
-        for p in var.init_parents:
-            rows *= cards[p]
+        rows = math.prod(cards[p] for p in var.init_parents)
         if var.init_cpt.shape != (rows, var.card):
             raise ModelValidationError(
                 f"var {i} init_cpt must be {rows}x{var.card} for its parent list, "
                 f"got shape {var.init_cpt.shape}"
             )
         yield var.init_cpt, f"var {i} init_cpt"
-        rows = 1
         for s, p in var.trans_parents:
             if s not in (0, 1):
                 raise ModelValidationError(f"var {i} trans parent slice must be 0 or 1, got {s}")
             if not 0 <= p < V:
                 raise ModelValidationError(f"var {i} trans parent {p} outside 0..{V - 1}")
-            rows *= cards[p]
+        rows = math.prod(cards[p] for _, p in var.trans_parents)
         if var.trans_cpt.shape != (rows, var.card):
             raise ModelValidationError(
                 f"var {i} trans_cpt must be {rows}x{var.card} for its parent list, "

@@ -91,7 +91,7 @@ def run_equivalence_checks(count: int, seed: int):
     """Compare the fast implementations against enumeration on random instances.
 
     Returns a list of (check name, worst deviation, tolerance) triples.
-    Path mismatches count as deviation 1.0.
+    Path mismatches count as deviation 1.0; a NaN deviation stays the worst.
     """
     rng = np.random.default_rng(seed)
     lik_dev = gamma_dev = xi_dev = path_dev = score_dev = 0.0
@@ -102,18 +102,18 @@ def run_equivalence_checks(count: int, seed: int):
         model = random_hmm(n, m, rng)
         obs = rng.integers(0, m, size=T)
         fwd = inference.forward(model, obs)
-        lik_dev = max(lik_dev, abs(np.exp(fwd.log_likelihood) - enum_likelihood(model, obs)))
+        lik_dev = np.maximum(lik_dev, abs(np.exp(fwd.log_likelihood) - enum_likelihood(model, obs)))
         post = inference.smooth(model, obs)
         ref_gamma, ref_xi = enum_posterior(model, obs)
-        gamma_dev = max(gamma_dev, float(np.abs(post.gamma - ref_gamma).max()))
+        gamma_dev = np.maximum(gamma_dev, float(np.abs(post.gamma - ref_gamma).max()))
         if T > 1:
-            xi_dev = max(xi_dev, float(np.abs(post.xi - ref_xi).max()))
+            xi_dev = np.maximum(xi_dev, float(np.abs(post.xi - ref_xi).max()))
         decoded = viterbi(model, obs)
         ref_path = enum_map_path(model, obs)
         if not np.array_equal(decoded.path, ref_path.path):
             path_dev = 1.0
         ref_p = np.exp(ref_path.log_joint_score)
-        score_dev = max(score_dev, abs(np.exp(decoded.log_joint_score) - ref_p) / ref_p)
+        score_dev = np.maximum(score_dev, abs(np.exp(decoded.log_joint_score) - ref_p) / ref_p)
 
     recon_dev = 0.0
     for _ in range(count):
@@ -126,7 +126,7 @@ def run_equivalence_checks(count: int, seed: int):
         bwd = inference.backward(model, obs, fwd.scale_factors)
         first = float(np.dot(model.pi * model.emit[:, obs[0]], bwd.scaled_beta[0]))
         recon = np.log(first) + float(np.log(fwd.scale_factors[1:]).sum())
-        recon_dev = max(recon_dev, abs(recon - fwd.log_likelihood))
+        recon_dev = np.maximum(recon_dev, abs(recon - fwd.log_likelihood))
 
     chmm_lik_dev = chmm_gamma_dev = 0.0
     for _ in range(count):
@@ -139,10 +139,10 @@ def run_equivalence_checks(count: int, seed: int):
         direct = inference.log_likelihood(model, obs)
         flat = flatten_chmm(model)
         flat_obs = flatten_obs(model, obs)
-        chmm_lik_dev = max(chmm_lik_dev, abs(direct - inference.log_likelihood(flat, flat_obs)))
+        chmm_lik_dev = np.maximum(chmm_lik_dev, abs(direct - inference.log_likelihood(flat, flat_obs)))
         joint_gamma = inference.smooth(model, obs).gamma
         flat_gamma = inference.smooth(flat, flat_obs).gamma
-        chmm_gamma_dev = max(chmm_gamma_dev, float(np.abs(joint_gamma - flat_gamma).max()))
+        chmm_gamma_dev = np.maximum(chmm_gamma_dev, float(np.abs(joint_gamma - flat_gamma).max()))
 
     return [
         ("hmm likelihood vs enumeration", lik_dev, 1e-12),

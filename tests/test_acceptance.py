@@ -62,12 +62,12 @@ def test_criterion_1_oracle_equivalence():
         model = random_hmm(n, m, rng)
         obs = rng.integers(0, m, size=T)
 
-        lik_dev = max(lik_dev, abs(np.exp(log_likelihood(model, obs)) - enum_likelihood(model, obs)))
+        lik_dev = np.maximum(lik_dev, abs(np.exp(log_likelihood(model, obs)) - enum_likelihood(model, obs)))
         post = smooth(model, obs)
         ref_gamma, ref_xi = enum_posterior(model, obs)
-        gamma_dev = max(gamma_dev, float(np.abs(post.gamma - ref_gamma).max()))
+        gamma_dev = np.maximum(gamma_dev, float(np.abs(post.gamma - ref_gamma).max()))
         if T > 1:
-            xi_dev = max(xi_dev, float(np.abs(post.xi - ref_xi).max()))
+            xi_dev = np.maximum(xi_dev, float(np.abs(post.xi - ref_xi).max()))
 
         best, second = _top_two_path_probs(model, obs)
         if best > 0 and (best - second) / best < 1e-10:
@@ -99,7 +99,7 @@ def test_criterion_2_backward_reconstruction():
         bwd = backward(model, obs, fwd.scale_factors)
         first = float(np.dot(model.pi * model.emit[:, obs[0]], bwd.scaled_beta[0]))
         recon = np.log(first) + float(np.log(fwd.scale_factors[1:]).sum())
-        worst = max(worst, abs(recon - fwd.log_likelihood))
+        worst = np.maximum(worst, abs(recon - fwd.log_likelihood))
     _verdict(2, "forward/backward cross-check (100 seeded instances)", worst < 1e-10, f"max dev {worst:.2e}")
 
 
@@ -115,8 +115,8 @@ def test_criterion_3_chmm_flattening_equivalence():
         obs = np.stack([rng.integers(0, symbols[l], size=T) for l in range(L)], axis=1)
         flat = flatten_chmm(model)
         fobs = flatten_obs(model, obs)
-        lik_dev = max(lik_dev, abs(chmm_likelihood(model, obs) - log_likelihood(flat, fobs)))
-        gamma_dev = max(
+        lik_dev = np.maximum(lik_dev, abs(chmm_likelihood(model, obs) - log_likelihood(flat, fobs)))
+        gamma_dev = np.maximum(
             gamma_dev, float(np.abs(chmm_smooth(model, obs).gamma - smooth(flat, fobs).gamma).max())
         )
     ok = lik_dev < 1e-12 and gamma_dev < 1e-12
@@ -136,7 +136,7 @@ def test_criterion_4_em_monotonicity():
         _, trace = baum_welch(init, seqs, EmConfig(max_iterations=200))
         diffs = np.diff(trace.log_likelihoods)
         if diffs.size:
-            worst_drop = max(worst_drop, float(-diffs.min()))
+            worst_drop = np.maximum(worst_drop, float(-diffs.min()))
         max_iters_seen = max(max_iters_seen, trace.iterations_run)
     bw_ok = worst_drop <= 1e-9 and max_iters_seen <= 200
 
@@ -149,7 +149,7 @@ def test_criterion_4_em_monotonicity():
         _, trace = chmm_em(init, seqs, EmConfig(max_iterations=100))
         diffs = np.diff(trace.log_likelihoods)
         if diffs.size:
-            chmm_worst = max(chmm_worst, float(-diffs.min()))
+            chmm_worst = np.maximum(chmm_worst, float(-diffs.min()))
     chmm_ok = chmm_worst <= 1e-6
     _verdict(
         4,

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 
@@ -444,6 +445,17 @@ def test_oracle_check_passes(capsys):
     assert main(["oracle-check", "--count", "8", "--seed", "5"]) == 0
     out = capsys.readouterr().out
     assert "all checks passed" in out
+
+
+def test_oracle_check_fails_a_nan_deviation(monkeypatch, capsys):
+    forward = inference.forward
+    monkeypatch.setattr(inference, "forward", lambda *args: dataclasses.replace(forward(*args), log_likelihood=np.nan))
+    assert main(["oracle-check", "--count", "5"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line.split(":")[0] for line in lines if line.endswith(" FAIL")]
+    assert failed == ["hmm likelihood vs enumeration", "backward likelihood reconstruction"]
+    assert "max deviation nan" in lines[0]
+    assert lines[-1] == "checks FAILED"
 
 
 def test_obs_file_and_inline_agree(model_file, tmp_path, capsys):

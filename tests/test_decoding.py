@@ -14,7 +14,7 @@ from dbnkit.oracle import enum_likelihood, enum_map_path
 
 def _viterbi_one(log_pi, log_trans, log_E):
     """``_viterbi_stack`` over the stack of one ``log_E[:, None]``, raising as ``viterbi`` does."""
-    paths, scores, first = _viterbi_stack(log_pi, log_trans, log_E[:, None])
+    paths, scores, first = _viterbi_stack(log_pi, np.ascontiguousarray(log_trans.T), log_E[:, None])
     if first[0] < log_E.shape[0]:
         raise ImpossibleObservationError(int(first[0]))
     return DecodeResult(paths[0], scores[0])
@@ -178,7 +178,7 @@ def test_viterbi_stack_matches_column_reference_per_sequence(B, n):
         log_pi, log_trans, log_emit = np.log(pi), np.log(trans), np.log(emit).T
     obs = rng.integers(0, 2, size=(T, B))
     obs[T // 2, B // 2] = 2  # an impossible sequence in the middle of the stack
-    paths, scores, first = _viterbi_stack(log_pi, log_trans, log_emit[obs])
+    paths, scores, first = _viterbi_stack(log_pi, np.ascontiguousarray(log_trans.T), log_emit[obs])
     outcomes = []
     for b in range(B):
         expected = _outcome(_viterbi_by_columns, log_pi, log_trans, log_emit[obs[:, b]])

@@ -301,8 +301,9 @@ def test_particle_filter_bit_identical_to_comparison_count(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 9])
 def test_propagate_counts_at_and_just_below_every_cumulative_value(n):
     rng = np.random.default_rng(n)
-    trans_cum = np.cumsum(_sparse_transitions(rng, n), axis=1)
-    table, P = _lifting_table(trans_cum)
+    trans = _sparse_transitions(rng, n)
+    trans_cum = np.cumsum(trans, axis=1)
+    table, P = _lifting_table(trans)
     x = np.repeat(np.arange(n), 2 * n + 2)
     u = np.concatenate([
         np.concatenate([row, np.nextafter(row, -np.inf), [0.0, 1.0]]) for row in trans_cum
@@ -350,6 +351,24 @@ def test_particle_lifting_table_is_checked_against_the_byte_budget(monkeypatch):
     monkeypatch.setattr(models, "MAX_ARRAY_BYTES", 200)
     with pytest.raises(SizeCapError, match=r"^particle lifting table \(5 x 8\) needs 320 bytes, over the budget of 200$"):
         particle_filter(model, [0, 1], 10, 0)
+
+
+def test_particle_filter_holds_one_lifting_table_and_refuses_it_before_allocating(peak_in_budgets, traced_peak):
+    # The lifting table is n x P = 1000 x 1024, just over one n x n table; no
+    # other n x n table is built beside it, and none before its budget check.
+    n = 1000
+    model = random_hmm(n, 2, np.random.default_rng(8))
+    obs = np.random.default_rng(9).integers(0, 2, size=5)
+    result, peak = traced_peak(lambda: particle_filter(model, obs, 100, 3))
+    assert result.estimates.shape == (5, n)
+    assert peak / (8 * n * n) < 1.1
+
+    def refused():
+        with pytest.raises(SizeCapError, match=r"^particle lifting table \(1000 x 1024\)"):
+            particle_filter(model, obs, 100, 3)
+
+    _, peak = peak_in_budgets(8 * n * n, refused)
+    assert peak < 0.1
 
 
 def test_oracle_equivalence_sample():

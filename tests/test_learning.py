@@ -111,6 +111,16 @@ def test_normalize_rows_matches_the_masked_path_bit_for_bit(pseudocount):
     assert np.array_equal(normalize_rows(np.array([[0.0, 0.0], [1.0, 3.0]])), [[0.5, 0.5], [0.25, 0.75]])
 
 
+@pytest.mark.parametrize("pseudocount", [0.0, 0.37])
+def test_normalize_rows_of_a_vector_is_its_one_row_form(pseudocount):
+    rng = np.random.default_rng(43)
+    vectors = [np.zeros(int(rng.integers(1, 9)))]
+    vectors += [rng.random(int(rng.integers(1, 300))) * 10.0 ** rng.integers(-300, 300) for _ in range(500)]
+    for counts in vectors:
+        got, want = normalize_rows(counts, pseudocount), normalize_rows(counts[None, :], pseudocount)[0]
+        assert got.shape == counts.shape and got.tobytes() == want.tobytes()
+
+
 def test_baum_welch_fixed_point_unchanged():
     m = HmmModel(pi=[1.0, 0.0], trans=[[0.0, 1.0], [1.0, 0.0]], emit=np.eye(2))
     _, symbols = sample(m, 9, seed=0)

@@ -37,7 +37,7 @@ def _frozen_particle_filter(pi, trans, E, num_particles, seed, resample_threshol
         raise ValueError(f"resample_threshold must be in [0, 1], got {resample_threshold}")
     rng = np.random.default_rng(seed)
     T, n = E.shape
-    table, P = _lifting_table(np.cumsum(trans, axis=1))
+    table, P = _lifting_table(trans)
 
     estimates = np.empty((T, n))
     ess = np.empty(T)
