@@ -2,23 +2,25 @@
 
 A coupled HMM is an HMM over joint chain-state tuples, stored as flat
 indices that only :mod:`dbnkit.convert` lays out, builds and reads, whose
-evidence factorises over chains.  Its joint chain and evidence tables come
-from :func:`dbnkit.convert._joint_view`, like every model's, so every query
-of :mod:`dbnkit.inference` and :mod:`dbnkit.decoding` takes a coupled model
-as it is, on the route the CLI runs.  ``chmm_forward`` and ``chmm_likelihood``
-are ``forward`` and ``log_likelihood`` under older names; ``chmm_backward``
-returns the backward table, and ``chmm_smooth`` the CLI's smoothed posterior
-of one sequence with each chain's marginal.  Coupled EM runs the E-step of
-:mod:`dbnkit.inference` on the same view, in :mod:`dbnkit.learning`'s loop.
+evidence factorises over chains.  Every route of :mod:`dbnkit.inference` and
+:mod:`dbnkit.decoding` takes a model and its sequences and builds the joint
+chain and evidence tables from :func:`dbnkit.convert._joint_view` itself, so
+it takes a coupled model as it is, on the route the CLI runs.
+``chmm_forward`` and ``chmm_likelihood`` are ``forward`` and
+``log_likelihood`` under older names; ``chmm_backward`` returns the backward
+table, and ``chmm_smooth`` the CLI's smoothed posterior of one sequence with
+each chain's marginal.  Coupled EM runs the E-step of
+:mod:`dbnkit.inference` on the model, in :mod:`dbnkit.learning`'s loop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .convert import _chain_marginals, _joint_view, _pair_marginals
+from .convert import _chain_marginals, _pair_marginals
 from .inference import _expectations, _freeze, _log_likelihoods, backward, forward, log_likelihood, smooth
 from .learning import EmConfig, _run_em, normalize_rows
 from .models import ChmmModel
@@ -89,8 +91,7 @@ def _chmm_e_step(model, sequences):
     emit_counts = [np.zeros(e.shape) for e in model.emissions]
     pair_counts = {key: np.zeros(mat.shape) for key, mat in model.couplings.items()}
     total_ll = 0.0
-    pi, trans, evidence = _joint_view(model)
-    per_sequence = _expectations(pi, trans, sequences, evidence, summarize, trans.shape[0])
+    per_sequence = _expectations(model, sequences, summarize, math.prod(model.states_per_chain))
     for obs, (chain_gammas, pairs, ll) in zip(sequences, per_sequence):
         total_ll += ll
         for l, g in enumerate(chain_gammas):
@@ -102,9 +103,8 @@ def _chmm_e_step(model, sequences):
 
 
 def _total_log_likelihood(model, sequences):
-    pi, trans, evidence = _joint_view(model)
     total = 0.0
-    for ll in _log_likelihoods(pi, trans, sequences, evidence):
+    for ll in _log_likelihoods(model, sequences):
         total += ll
     return total
 

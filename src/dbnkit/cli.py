@@ -6,10 +6,10 @@ invocations are byte-identical and diffable.  Exit codes: 0 success,
 1 usage error, 2 data or model error.
 
 Every query runs its route of :mod:`dbnkit.inference` or
-:mod:`dbnkit.decoding` on a file, over a model's joint chain and evidence
-tables, whatever the model type, from :func:`dbnkit.convert._joint_view`;
-the library's queries run the same routes on one sequence.  The CLI never
-flattens a CHMM.  ``sample`` draws from one view of the model per command.
+:mod:`dbnkit.decoding` on a model and the sequences of a file, whatever the
+model type; the route builds the model's joint chain and evidence tables
+once, and the library's queries run the same routes on one sequence.  The
+CLI never flattens a CHMM.  ``sample`` draws from one view of the model per command.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import chmm as chmm_mod
 from . import inference, learning
-from .convert import _joint_emission, _joint_view
+from .convert import _joint_emission
 from .decoding import _viterbi_paths
 from .errors import DbnError
 from .io import format_obs, load_model, load_observations, parse_obs_line, save_model
@@ -194,11 +194,10 @@ def _load_obs_arg(value):
     return [parse_obs_line(value, ctx="--obs")]
 
 
-def _query_inputs(model, obs_arg):
-    """``(pi, trans, sequences, evidence)``: the ``--obs`` sequences, validated for ``model``, and its joint view."""
-    sequences = _validate_sequences(model, _load_obs_arg(obs_arg))
-    pi, trans, evidence = _joint_view(model)
-    return pi, trans, sequences, evidence
+def _query_inputs(args):
+    """``(model, sequences)`` for a route: the ``--model`` file's model and the ``--obs`` sequences, validated for it."""
+    model = load_model(args.model)
+    return model, _validate_sequences(model, _load_obs_arg(args.obs))
 
 
 def _cmd_validate(args):
@@ -223,13 +222,13 @@ def _cmd_sample(args):
 
 
 def _cmd_likelihood(args):
-    for ll in inference._log_likelihoods(*_query_inputs(load_model(args.model), args.obs)):
+    for ll in inference._log_likelihoods(*_query_inputs(args)):
         print(_fmt(ll))
     return 0
 
 
 def _cmd_filter(args):
-    inputs = _query_inputs(load_model(args.model), args.obs)
+    inputs = _query_inputs(args)
     # map, not a generator expression, whose loop variable would keep a stack while the next one runs
     if args.particles is None:
         tables = map(attrgetter("scaled_alpha"), inference._filtered(*inputs))
@@ -240,23 +239,23 @@ def _cmd_filter(args):
 
 
 def _cmd_smooth(args):
-    _print_tables(map(attrgetter("gamma"), inference._smoothed(*_query_inputs(load_model(args.model), args.obs))))
+    _print_tables(map(attrgetter("gamma"), inference._smoothed(*_query_inputs(args))))
     return 0
 
 
 def _cmd_predict(args):
     if args.observation and args.horizon != 1:
         raise _UsageError("--observation predicts one step ahead; --horizon must be 1")
-    model = load_model(args.model)
-    inputs = _query_inputs(model, args.obs)
+    model, sequences = _query_inputs(args)
+    predicted = inference._predicted(model, sequences, args.horizon)  # builds the joint chain before the emission
     emitted = _joint_emission(model) if args.observation else None
-    for p in inference._predicted(*inputs, args.horizon):
+    for p in predicted:
         _print_row(emitted(p) if args.observation else p)
     return 0
 
 
 def _cmd_decode(args):
-    for result in _viterbi_paths(*_query_inputs(load_model(args.model), args.obs)):
+    for result in _viterbi_paths(*_query_inputs(args)):
         print("\t".join(map(str, result.path.tolist())))
         if args.score:
             print(_fmt(result.log_joint_score))
@@ -329,9 +328,9 @@ def _build_parser():
     for name in ("train", "train-chmm"):
         p = add(name, _cmd_train, f"EM training ({name}); prints the log-likelihood trace", obs=True)
         p.add_argument("--out", required=True, help="trained model file to write")
-        p.add_argument("--max-iters", type=_positive_int, default=200)
-        p.add_argument("--tol", type=_positive_float, default=1e-6)
-        p.add_argument("--pseudocount", type=_finite_nonnegative_float, default=0.0)
+        p.add_argument("--max-iters", type=_positive_int, default=learning.EmConfig.max_iterations)
+        p.add_argument("--tol", type=_positive_float, default=learning.EmConfig.rel_tolerance)
+        p.add_argument("--pseudocount", type=_finite_nonnegative_float, default=learning.EmConfig.pseudocount)
 
     p = sub.add_parser("oracle-check", help="equivalence suite vs brute-force enumeration")
     p.set_defaults(func=_cmd_oracle_check)

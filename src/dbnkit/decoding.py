@@ -6,8 +6,8 @@ breaks ties toward the smallest state index.  Like the forward recursion,
 the recursion runs over a time-major stack of log evidence tables.  Every
 model, a CHMM included, is decoded on the joint chain and evidence tables
 that inference runs on, in the same stacks (see
-:func:`dbnkit.inference._in_length_stacks`), by one route: the CLI runs it
-on a file, and ``viterbi`` on a stack of one.
+:func:`dbnkit.inference._in_length_stacks`), by one route over a model and
+its sequences: the CLI runs it on a file, and ``viterbi`` on a stack of one.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .convert import _joint_view
 from .inference import _in_length_stacks, _one
 
 
@@ -71,13 +72,14 @@ def _viterbi_stack(log_pi, into, log_E):
     return paths, scores, first
 
 
-def _viterbi_paths(pi, trans, sequences, evidence):
+def _viterbi_paths(model, sequences):
     """Yield each validated sequence's DecodeResult, in order, from Viterbi over length stacks.
 
-    ``evidence`` is :func:`dbnkit.inference._grouped`'s; each new stack it
-    returns is logged in place.  See :func:`dbnkit.inference._in_length_stacks`
+    The model's joint view is built once, and each new evidence stack it
+    makes is logged in place.  See :func:`dbnkit.inference._in_length_stacks`
     for the stacks and for the error raised on an impossible observation.
     """
+    pi, trans, evidence = _joint_view(model)
     with np.errstate(divide="ignore"):
         log_pi, into = np.log(pi), np.log(trans.T, order="C")
 

@@ -8,15 +8,16 @@ smoothed posterior simply the elementwise product of the two scaled tables.
 The recursion is written once, over a time-major stack of evidence tables
 ``E[t, b, i]``, the probability of step t's observation of sequence b in
 state i, so each step works on one contiguous block; a single sequence is a
-stack of one.  Every query takes its chain and evidence from
-:func:`dbnkit.convert._joint_view`, so it accepts an HMM, a coupled HMM or a
-2TBN: an HMM's tables are its emission columns (``emit.T[obs]``), a coupled
-HMM's the products of its per-chain columns, a 2TBN's one-hot rows.  Each
-query has one route over ``(pi, trans, sequences, evidence)``, which stacks
-the sequences of each length within consecutive windows of a file that fit
-the byte budget, runs every table of a stack in the same step, and yields
-the query's result for each sequence.  The CLI runs a route on a file, and
-each public query runs it on a list of one sequence (:func:`_one`).
+stack of one.  Each query has one route, ``route(model, sequences, *args)``,
+which builds the model's chain and evidence from
+:func:`dbnkit.convert._joint_view` once, so it accepts an HMM, a coupled HMM
+or a 2TBN: an HMM's tables are its emission columns (``emit.T[obs]``), a
+coupled HMM's the products of its per-chain columns, a 2TBN's one-hot rows.
+A route stacks the sequences of each length within consecutive windows of a
+file that fit the byte budget, runs every table of a stack in the same step,
+and yields the query's result for each sequence.  The CLI runs a route on a
+file, and each public query runs it on a list of one sequence
+(:func:`_one`).
 Baum-Welch and coupled EM share its E-step.
 """
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from .convert import _joint_emission, _joint_view
 from .errors import DegenerateWeightsError, ImpossibleObservationError
-from .models import _check_array_bytes, _index, _rows_within_budget, validate_obs
+from .models import _check_array_bytes, _count, _rows_within_budget, validate_obs
 from .sampling import _cumulative
 
 
@@ -216,23 +217,24 @@ def _in_length_stacks(sequences, n, width, run):
         start += len(window)
 
 
-def _grouped(pi, trans, sequences, evidence, width, finish):
-    """:func:`_in_length_stacks` over forward passes.
+def _grouped(model, sequences, width, finish):
+    """:func:`_in_length_stacks` over forward passes on ``model``'s joint view, built here once.
 
-    ``evidence(obs)`` maps a stack's time-major observations ``obs[T, B, ...]``
-    to its evidence stack ``E[T, B, n]``, and ``finish(obs, E, alpha, scale)``
+    A stack's time-major observations ``obs[T, B, ...]`` are mapped to its
+    evidence stack ``E[T, B, n]``, and ``finish(trans, obs, E, alpha, scale)``
     returns one item per sequence of the stack.
     """
+    pi, trans, evidence = _joint_view(model)
 
     def run(obs):
         E = evidence(obs)
         alpha, scale, first = _forward_stack(pi, trans, E)
-        return first, lambda: finish(obs, E, alpha, scale)
+        return first, lambda: finish(trans, obs, E, alpha, scale)
 
     return _in_length_stacks(sequences, trans.shape[0], width, run)
 
 
-def _expectations(pi, trans, sequences, evidence, summarize, width):
+def _expectations(model, sequences, summarize, width):
     """Yield each sequence's E-step statistics, in the order of ``sequences``.
 
     Per stack of equal-length sequences (see :func:`_in_length_stacks`),
@@ -242,7 +244,7 @@ def _expectations(pi, trans, sequences, evidence, summarize, width):
     bounds its per-sequence arrays to width x n entries.
     """
 
-    def finish(obs, E, alpha, scale):
+    def finish(trans, obs, E, alpha, scale):
         gamma, w = _posterior_stack(trans, E, alpha, scale)
         # Strided views, which BLAS reads with a transpose flag as in a
         # one-table product; a contiguous copy of alpha would round differently.
@@ -250,44 +252,43 @@ def _expectations(pi, trans, sequences, evidence, summarize, width):
         xi_sums *= trans
         return summarize(obs, gamma, xi_sums, _sequence_log_likelihoods(scale))
 
-    return _grouped(pi, trans, sequences, evidence, width, finish)
+    return _grouped(model, sequences, width, finish)
 
 
-def _log_likelihoods(pi, trans, sequences, evidence):
+def _log_likelihoods(model, sequences):
     """Yield each sequence's log-likelihood, in order, from forward passes over length stacks."""
-    return _grouped(
-        pi, trans, sequences, evidence, 0, lambda obs, E, alpha, scale: _sequence_log_likelihoods(scale)
-    )
+    return _grouped(model, sequences, 0, lambda trans, obs, E, alpha, scale: _sequence_log_likelihoods(scale))
 
 
-def _filtered(pi, trans, sequences, evidence):
+def _filtered(model, sequences):
     """Yield each sequence's ForwardResult, in order, from length-stacked forward passes."""
 
-    def finish(obs, E, alpha, scale):
+    def finish(trans, obs, E, alpha, scale):
         return map(ForwardResult, alpha.transpose(1, 0, 2), scale.T, _sequence_log_likelihoods(scale))
 
-    return _grouped(pi, trans, sequences, evidence, 0, finish)
+    return _grouped(model, sequences, 0, finish)
 
 
-def _smoothed(pi, trans, sequences, evidence):
+def _smoothed(model, sequences):
     """Yield each sequence's PosteriorResult, in order, from stacked forward-backward."""
 
-    def finish(obs, E, alpha, scale):
+    def finish(trans, obs, E, alpha, scale):
         gamma, w = _posterior_stack(trans, E, alpha, scale)
         return [PosteriorResult(gamma[:, b], alpha[:, b], trans, w[:, b]) for b in range(alpha.shape[1])]
 
-    return _grouped(pi, trans, sequences, evidence, 0, finish)
+    return _grouped(model, sequences, 0, finish)
 
 
-def _predicted(pi, trans, sequences, evidence, horizon):
-    """Yield each sequence's last filtered row, pushed ``horizon`` times through ``trans`` and normalized."""
+def _predicted(model, sequences, horizon):
+    """Yield each sequence's last filtered row, pushed ``horizon`` times through the transition and normalized."""
 
-    def pushed(p):
-        for _ in range(horizon):
-            p = p @ trans
-        return p / p.sum()
+    def finish(trans, obs, E, alpha, scale):
+        for p in alpha[-1]:
+            for _ in range(horizon):
+                p = p @ trans
+            yield p / p.sum()
 
-    return _grouped(pi, trans, sequences, evidence, 0, lambda obs, E, alpha, scale: map(pushed, alpha[-1]))
+    return _grouped(model, sequences, 0, finish)
 
 
 def _one(route, model, obs, *args):
@@ -297,9 +298,8 @@ def _one(route, model, obs, *args):
     raised with the one-sequence message, which names no sequence.
     """
     obs = validate_obs(model, obs)
-    pi, trans, evidence = _joint_view(model)
     try:
-        return next(route(pi, trans, [obs], evidence, *args))
+        return next(route(model, [obs], *args))
     except (ImpossibleObservationError, DegenerateWeightsError) as err:
         raise type(err)(err.t) from None
 
@@ -365,10 +365,7 @@ def predict_state(model, obs, horizon: int = 1) -> np.ndarray:
     Horizon 1 is the filtered distribution pushed once through the
     transition matrix; larger horizons apply the transition repeatedly.
     """
-    horizon = _index(horizon, "horizon", ValueError)
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    return _one(_predicted, model, obs, horizon)
+    return _one(_predicted, model, obs, _count(horizon, "horizon"))
 
 
 def predict_obs(model, obs) -> np.ndarray:
@@ -437,17 +434,16 @@ def _systematic_resample(weights, rng):
     return _cumulative(weights).searchsorted((rng.random() + np.arange(K)) / K, "right")
 
 
-def _particle_filters(pi, trans, sequences, evidence, num_particles, seed, resample_threshold=0.5):
+def _particle_filters(model, sequences, num_particles, seed, resample_threshold=0.5):
     """Yield :func:`particle_filter`'s result for each sequence, in order; a degenerate ensemble names its sequence.
 
-    The arguments are checked, and the initial :func:`dbnkit.sampling._cumulative`
-    row and the lifting table built, once per file; each sequence
-    runs on its own ``default_rng(seed)``, weighing step t's particles by row t
-    of ``evidence(obs)``.
+    The model's joint view is built, the arguments are checked, and the
+    initial :func:`dbnkit.sampling._cumulative` row and the lifting table
+    built, once per file; each sequence runs on its own ``default_rng(seed)``,
+    weighing step t's particles by row t of its evidence table.
     """
-    K = _index(num_particles, "num_particles", ValueError)
-    if K < 1:
-        raise ValueError(f"num_particles must be >= 1, got {K}")
+    pi, trans, evidence = _joint_view(model)
+    K = _count(num_particles, "num_particles")
     _check_array_bytes("particle ensemble", K)
     if not 0.0 <= resample_threshold <= 1.0:
         raise ValueError(f"resample_threshold must be in [0, 1], got {resample_threshold}")

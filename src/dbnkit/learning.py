@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convert import _joint_view
 from .inference import _expectations
-from .models import HmmModel, _index, _integer_array, _validate_sequences
+from .models import HmmModel, _count, _integer_array, _validate_sequences
 
 
 @dataclass(frozen=True)
@@ -33,9 +32,7 @@ class EmConfig:
     pseudocount: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "max_iterations", _index(self.max_iterations, "max_iterations", ValueError))
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        object.__setattr__(self, "max_iterations", _count(self.max_iterations, "max_iterations"))
         if not self.rel_tolerance > 0.0:  # NaN included
             raise ValueError(f"rel_tolerance must be positive, got {self.rel_tolerance}")
         if not 0.0 <= self.pseudocount < np.inf:
@@ -113,8 +110,7 @@ def _e_step(model, sequences):
 
     initial, transitions, emissions = np.zeros(n), np.zeros((n, n)), np.zeros((n, m))
     total_ll = 0.0
-    pi, trans, evidence = _joint_view(model)
-    per_sequence = _expectations(pi, trans, sequences, evidence, summarize, max(n, m))
+    per_sequence = _expectations(model, sequences, summarize, max(n, m))
     for gamma0, xi_sum, emis, ll in per_sequence:
         total_ll += ll
         initial += gamma0

@@ -71,6 +71,14 @@ def _index(value, what, error=ModelValidationError):
     return int(value)
 
 
+def _count(value, what):
+    """:func:`_index` of ``value``, or ValueError naming ``what`` unless it is at least 1."""
+    value = _index(value, what, ValueError)
+    if value < 1:
+        raise ValueError(f"{what} must be >= 1, got {value}")
+    return value
+
+
 def check_distribution(probs, name="distribution"):
     """Raise unless ``probs`` is a probability vector.
 

@@ -17,7 +17,7 @@ from operator import itemgetter
 import numpy as np
 
 from .convert import _tbn_chain
-from .models import ChmmModel, HmmModel, Tbn2Model, _check_array_bytes, _index, nearest_neighbor_parents
+from .models import ChmmModel, HmmModel, Tbn2Model, _check_array_bytes, _count, nearest_neighbor_parents
 
 
 def sample(model, length: int, seed: int):
@@ -28,10 +28,7 @@ def sample(model, length: int, seed: int):
     (T, L) arrays with one state/symbol per chain.  Raises SizeCapError,
     before drawing anything, if one of them would not fit the byte budget.
     """
-    length = _index(length, "length", ValueError)
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
-    return _sampled(_chains(model), length, seed)
+    return _sampled(_chains(model), _count(length, "length"), seed)
 
 
 def _cumulative(table, out=None):

@@ -434,6 +434,26 @@ def test_tbn2_unrolled_once_per_command(tbn_file, tmp_path, capsys, calls_to, co
     assert capsys.readouterr().out.count("\n\n") == (2 if command in ("smooth", "filter") else 0)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["likelihood"], ["filter"], ["smooth"], ["predict"], ["decode"], ["filter", "--particles", "100"]],
+    ids=["likelihood", "filter", "smooth", "predict", "decode", "particles"],
+)
+@pytest.mark.parametrize("kind", ["tbn2", "chmm"])
+def test_every_query_builds_the_joint_chain_once(tbn_file, chmm_file, tmp_path, capsys, calls_to, kind, argv):
+    # Three sequences of two lengths make two stacks; the route builds the chain once for all of them.
+    obs_path = tmp_path / "obs.txt"
+    if kind == "tbn2":
+        model, builder = tbn_file, "_tbn_chain"
+        obs_path.write_text("0 0 1\n1 1\n0 1 1\n")
+    else:
+        model, builder = chmm_file, "_joint_transition"
+        obs_path.write_text("0,1 1,1 0,0\n1,0 0,0\n1,1 0,1 1,0\n")
+    calls = calls_to(convert, builder)
+    assert main([argv[0], "--model", model, "--obs", str(obs_path)] + argv[1:]) == 0, capsys.readouterr().err
+    assert len(calls) == 1
+
+
 def test_tbn2_unrolled_once_per_sample_command(tbn_file, capsys, calls_to):
     calls = calls_to(sampling, "_tbn_chain")
     assert main(["sample", "--model", tbn_file, "--length", "6", "--count", "3", "--seed", "4"]) == 0

@@ -72,11 +72,18 @@ def _frozen_particle_filters(pi, trans, sequences, evidence, num_particles, seed
 
 
 def _outcome(route, model, sequences, *args):
-    """Each yielded result's fields as (dtype, shape, bytes), and the error's type and message, or None."""
-    pi, trans, evidence = _joint_view(model)
+    """Each yielded result's fields as (dtype, shape, bytes), and the error's type and message, or None.
+
+    ``_particle_filters`` takes the model; the frozen route takes its joint view.
+    """
+    if route is _particle_filters:
+        results = route(model, sequences, *args)
+    else:
+        pi, trans, evidence = _joint_view(model)
+        results = route(pi, trans, sequences, evidence, *args)
     items = []
     try:
-        for result in route(pi, trans, sequences, evidence, *args):
+        for result in results:
             items.append([(a.dtype, a.shape, a.tobytes()) for a in (getattr(result, f) for f in FIELDS)])
     except (ValueError, DegenerateWeightsError) as err:
         return items, (type(err), str(err))

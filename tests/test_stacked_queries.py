@@ -11,6 +11,7 @@ CHMM's joint chain, never on its flattening; the references of ``decode``,
 model, so the two routes check each other.
 """
 
+import os
 import sys
 
 import numpy as np
@@ -353,10 +354,9 @@ def test_stacked_smooth_peak_memory_stays_within_four_stacks(traced_peak):
     rng = np.random.default_rng(7)
     model = random_hmm(n, m, rng)
     seqs = [sample(model, T, seed)[1] for seed in range(B)]
-    emit_T = model.emit.T
 
     def run():
-        tables = [r.gamma for r in inference._smoothed(model.pi, model.trans, seqs, lambda obs: emit_T[obs])]
+        tables = [r.gamma for r in inference._smoothed(model, seqs)]
         assert all(g.shape == (T, n) for g in tables)
 
     run()
@@ -374,14 +374,13 @@ def test_streamed_smooth_peak_memory_is_bounded_by_the_budget_not_the_file(monke
     table = 8 * T * n
     model = random_hmm(n, m, np.random.default_rng(8))
     long, short = sample(model, T, 1)[1], sample(model, 3, 2)[1]
-    emit_T = model.emit.T
     monkeypatch.setattr(models, "MAX_ARRAY_BYTES", 10 * table)
     peaks = []
     for count in (60, 240):
         seqs = [long, short] + [long] * count
 
         def drain():
-            for result in inference._smoothed(model.pi, model.trans, seqs, lambda obs: emit_T[obs]):
+            for result in inference._smoothed(model, seqs):
                 assert result.gamma.shape[1] == n  # read, then dropped, as the CLI does
                 del result
 
@@ -405,3 +404,36 @@ def test_cli_smooth_peak_memory_is_bounded_by_the_budget_not_the_file(tmp_path, 
         code, peak = traced_peak(lambda: main(["smooth", "--model", model_path, "--obs", obs_path]))
         assert code == 0
     assert peak <= 4.5 * 10 * table
+
+
+# The multiple of the byte budget at which each stacked command peaks, as README states it: a window's
+# evidence and alpha stacks fill about one budget each, decode adds its back pointers and candidate
+# buffer, smooth its beta (then gamma) stack, and EM the emission counts beside all three.
+PEAK_BUDGETS = {"likelihood": 2.5, "filter": 2.5, "predict": 2.5, "decode": 2.5, "smooth": 3.5, "train": 4.0}
+
+
+@pytest.fixture(scope="module")
+def budget_files(tmp_path_factory):
+    """An HMM at n = 64 and two files of it: 100 sequences of 200 steps, and lengths 200 and 100 interleaved."""
+    model = random_hmm(64, 4, np.random.default_rng(0))
+    files = {}
+    for layout, lengths in (("equal", [200] * 100), ("interleaved", ([200] * 4 + [100] * 12) * 6)):
+        seqs = [sample(model, T, seed)[1] for seed, T in enumerate(lengths)]
+        files[layout] = _files(tmp_path_factory.mktemp(layout), model, seqs)
+    return files
+
+
+@pytest.mark.parametrize("layout", ["equal", "interleaved"])
+@pytest.mark.parametrize("command", list(PEAK_BUDGETS))
+def test_a_stacked_command_peaks_within_its_stated_multiple_of_the_budget(
+    budget_files, tmp_path, monkeypatch, peak_in_budgets, command, layout
+):
+    model_path, obs_path = budget_files[layout]
+    argv = [command, "--model", model_path, "--obs", obs_path]
+    if command == "train":
+        argv += ["--max-iters", "2", "--out", str(tmp_path / "trained.json")]
+    with open(os.devnull, "w") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        code, peak = peak_in_budgets(2 * 2**20, lambda: main(argv))
+    assert code == 0
+    assert peak <= PEAK_BUDGETS[command]
