@@ -196,20 +196,17 @@ def _in_length_stacks(sequences, n, width, run):
     """
     start = 0
     for window in _budget_windows(sequences, _rows_within_budget(n), width):
-        groups, items, failure = {}, {}, None
+        groups, items, failures = {}, {}, []
         for i, obs in enumerate(window):
             groups.setdefault(len(obs), []).append(i)
         for T, idx in groups.items():
             first, finish = run(np.stack([window[i] for i in idx], axis=1))
-            bad = np.flatnonzero(first < T)
-            if bad.size:
-                cand = (start + idx[bad[0]], int(first[bad[0]]))
-                failure = cand if failure is None else min(failure, cand)
-            elif failure is None:
+            failures += [(start + idx[b], int(first[b])) for b in np.flatnonzero(first < T)]
+            if not failures:
                 items.update(zip(idx, finish()))
             del finish  # from here on, only the items hold any of the stack's arrays
-        if failure is not None:
-            i, t = failure
+        if failures:
+            i, t = min(failures)
             raise ImpossibleObservationError(
                 t, f"sequence {i}: observation at time step {t} is impossible under the current model"
             )

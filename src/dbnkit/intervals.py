@@ -1,8 +1,9 @@
 """Allen interval-algebra relations between real time intervals.
 
 Exactly one of the 13 relations holds for any ordered pair of valid
-intervals; :func:`allen_relation` classifies a pair by comparing endpoint
-order, and each relation knows its inverse.
+intervals, and Allen defines each by how the two intervals' endpoints are
+ordered.  :func:`allen_relation` looks up the pair's four endpoint orders in
+one table, and each relation's inverse is derived from that table.
 """
 
 from __future__ import annotations
@@ -46,40 +47,32 @@ class AllenRelation(enum.Enum):
         return _INVERSES[self]
 
 
-_INVERSES = {
-    a: b
-    for x, y in (
-        (AllenRelation.PRECEDES, AllenRelation.PRECEDED_BY),
-        (AllenRelation.MEETS, AllenRelation.MET_BY),
-        (AllenRelation.OVERLAPS, AllenRelation.OVERLAPPED_BY),
-        (AllenRelation.STARTS, AllenRelation.STARTED_BY),
-        (AllenRelation.DURING, AllenRelation.CONTAINS),
-        (AllenRelation.FINISHES, AllenRelation.FINISHED_BY),
-        (AllenRelation.EQUALS, AllenRelation.EQUALS),
-    )
-    for a, b in ((x, y), (y, x))
+# The relation of (x, y) by its four endpoint orders (x.start vs y.start,
+# x.end vs y.end, x.start vs y.end, x.end vs y.start), each -1, 0 or 1.
+_BY_ORDER = {
+    (-1, -1, -1, -1): AllenRelation.PRECEDES,
+    (1, 1, 1, 1): AllenRelation.PRECEDED_BY,
+    (-1, -1, -1, 0): AllenRelation.MEETS,
+    (1, 1, 0, 1): AllenRelation.MET_BY,
+    (-1, -1, -1, 1): AllenRelation.OVERLAPS,
+    (1, 1, -1, 1): AllenRelation.OVERLAPPED_BY,
+    (0, -1, -1, 1): AllenRelation.STARTS,
+    (0, 1, -1, 1): AllenRelation.STARTED_BY,
+    (1, -1, -1, 1): AllenRelation.DURING,
+    (-1, 1, -1, 1): AllenRelation.CONTAINS,
+    (1, 0, -1, 1): AllenRelation.FINISHES,
+    (-1, 0, -1, 1): AllenRelation.FINISHED_BY,
+    (0, 0, -1, 1): AllenRelation.EQUALS,
 }
+
+# Swapping the pair negates each order and swaps the two mixed ones.
+_INVERSES = {rel: _BY_ORDER[-a, -b, -d, -c] for (a, b, c, d), rel in _BY_ORDER.items()}
+
+
+def _order(a, b):
+    return int(a > b) - int(a < b)
 
 
 def allen_relation(x: Interval, y: Interval) -> AllenRelation:
     """Classify the unique Allen relation holding between ``x`` and ``y``."""
-    if x.end < y.start:
-        return AllenRelation.PRECEDES
-    if y.end < x.start:
-        return AllenRelation.PRECEDED_BY
-    if x.end == y.start:
-        return AllenRelation.MEETS
-    if y.end == x.start:
-        return AllenRelation.MET_BY
-    # The intervals now properly overlap: x.start < y.end and y.start < x.end.
-    if x.start == y.start:
-        if x.end == y.end:
-            return AllenRelation.EQUALS
-        return AllenRelation.STARTS if x.end < y.end else AllenRelation.STARTED_BY
-    if x.end == y.end:
-        return AllenRelation.FINISHES if x.start > y.start else AllenRelation.FINISHED_BY
-    if y.start < x.start and x.end < y.end:
-        return AllenRelation.DURING
-    if x.start < y.start and y.end < x.end:
-        return AllenRelation.CONTAINS
-    return AllenRelation.OVERLAPS if x.start < y.start else AllenRelation.OVERLAPPED_BY
+    return _BY_ORDER[_order(x.start, y.start), _order(x.end, y.end), _order(x.start, y.end), _order(x.end, y.start)]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inference import _expectations
-from .models import HmmModel, _count, _integer_array, _validate_sequences
+from .models import HmmModel, _check_array_bytes, _count, _integer_array, _validate_sequences
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,9 @@ def mle_complete(data, num_states: int, num_symbols: int, pseudocount: float = 0
         raise ValueError("data must contain at least one (states, observations) pair")
     if not 0.0 <= pseudocount < np.inf:
         raise ValueError(f"pseudocount must be finite and nonnegative, got {pseudocount}")
+    num_states, num_symbols = _count(num_states, "num_states"), _count(num_symbols, "num_symbols")
+    _check_array_bytes("transition counts", num_states, num_states)
+    _check_array_bytes("emission counts", num_states, num_symbols)
     init = np.zeros(num_states)
     trans = np.zeros((num_states, num_states))
     emit = np.zeros((num_states, num_symbols))

@@ -87,19 +87,22 @@ def _as_rng(rng):
 
 def random_hmm(num_states: int, num_symbols: int, rng) -> HmmModel:
     """HMM with rows drawn uniformly from the probability simplex."""
+    n, m = _count(num_states, "num_states"), _count(num_symbols, "num_symbols")
+    _check_array_bytes("transition table", n, n)
+    _check_array_bytes("emission table", n, m)
     rng = _as_rng(rng)
     return HmmModel(
-        pi=rng.dirichlet(np.ones(num_states)),
-        trans=rng.dirichlet(np.ones(num_states), size=num_states),
-        emit=rng.dirichlet(np.ones(num_symbols), size=num_states),
+        pi=rng.dirichlet(np.ones(n)),
+        trans=rng.dirichlet(np.ones(n), size=n),
+        emit=rng.dirichlet(np.ones(m), size=n),
     )
 
 
 def random_chmm(states_per_chain, symbols_per_chain, rng, parents=None) -> ChmmModel:
     """CHMM with simplex-uniform rows; nearest-neighbor topology by default."""
     rng = _as_rng(rng)
-    sizes = tuple(int(n) for n in states_per_chain)
-    symbols = tuple(int(m) for m in symbols_per_chain)
+    sizes = tuple(_count(n, f"states_per_chain[{l}]") for l, n in enumerate(states_per_chain))
+    symbols = tuple(_count(m, f"symbols_per_chain[{l}]") for l, m in enumerate(symbols_per_chain))
     if len(sizes) != len(symbols):
         raise ValueError("states_per_chain and symbols_per_chain must have the same length")
     L = len(sizes)

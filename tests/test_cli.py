@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from dbnkit import HmmModel, cli, convert, inference, load_model, random_chmm, random_hmm, sampling, save_model
+from dbnkit import HmmModel, cli, convert, inference, load_model, oracle, random_chmm, random_hmm, sampling, save_model
 from dbnkit.cli import main
 
 
@@ -512,3 +512,24 @@ def test_a_bad_symbol_error_names_its_sequence(model_file, tmp_path, capsys, com
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: sequence 2: symbol 7 at step 2 outside valid range 0..1\n"
+
+
+def test_oracle_check_fails_a_wrong_viterbi_path(monkeypatch, capsys):
+    viterbi = oracle.viterbi
+
+    def wrong(model, obs):
+        decoded = viterbi(model, obs)
+        return dataclasses.replace(decoded, path=decoded.path + 1)
+
+    monkeypatch.setattr(oracle, "viterbi", wrong)
+    assert main(["oracle-check", "--count", "3"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.endswith(" FAIL")] == [
+        "viterbi path vs enumeration: max deviation 1.000e+00 (tolerance 0e+00) FAIL"
+    ]
+    assert lines[-1] == "checks FAILED"
+
+
+def test_a_number_that_does_not_parse_is_a_usage_error(model_file, capsys):
+    assert main(["sample", "--model", model_file, "--length", "abc"]) == 1
+    assert capsys.readouterr() == ("", "usage error: argument --length: 'abc' is not a positive integer\n")

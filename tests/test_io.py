@@ -9,6 +9,7 @@ from dbnkit import (
     ModelValidationError,
     Tbn2Model,
     TbnVariable,
+    format_obs,
     load_model,
     load_observations,
     parse_obs_line,
@@ -201,3 +202,31 @@ def test_empty_observation_file_rejected(tmp_path):
     path.write_text("\n")
     with pytest.raises(ModelFormatError, match="no observation sequences"):
         load_observations(path)
+
+
+def _load_text(path, text):
+    path.write_text(text)
+    return load_model(path)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda path: _load_text(
+                path,
+                '{"type": "hmm", "num_states": 2, "num_symbols": 3, "pi": [0.5, 0.5],'
+                ' "A": [[0.5, 0.5], [0.5, 0.5]], "B": [[1.0, 0.0], [0.0, 1.0]]}',
+            ),
+            ModelFormatError,
+            '^.*m.json: "num_symbols" is 3 but "B" rows have length 2$',
+        ),
+        (lambda path: save_model(object(), path), TypeError, "^cannot save model type object$"),
+        (lambda path: format_obs(np.zeros((1, 1, 1), dtype=int)), ValueError,
+         r"^cannot format observation array of shape \(1, 1, 1\)$"),
+    ],
+    ids=["symbols-vs-B", "save-unknown-model", "format-3-d"],
+)
+def test_io_refuses_a_symbol_count_unlike_B_an_unknown_model_and_a_3_d_sequence(tmp_path, call, error, message):
+    with pytest.raises(error, match=message):
+        call(tmp_path / "m.json")

@@ -8,6 +8,7 @@ from dbnkit import (
     EmConfig,
     HmmModel,
     ImpossibleObservationError,
+    SizeCapError,
     baum_welch,
     chmm_em,
     hmm_to_chmm,
@@ -240,3 +241,43 @@ def test_star_import_binds_every_public_name():
     assert set(dbnkit.__all__) <= namespace.keys()
     assert "SufficientStats" not in dbnkit.__all__
     assert "SufficientStats" not in namespace
+
+
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        (([0, 1], [0]), "^pair 0: states and observations must be equal-length nonempty vectors$"),
+        (([0, 1], [0, 5]), r"^pair 0: symbol index out of range 0\.\.1$"),
+    ],
+    ids=["unequal-lengths", "symbol-out-of-range"],
+)
+def test_mle_rejects_a_pair_of_unequal_lengths_or_an_out_of_range_symbol(pair, message):
+    with pytest.raises(ValueError, match=message):
+        mle_complete([pair], 2, 2)
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ((0, 2), "^num_states must be >= 1, got 0$"),
+        ((2.7, 2), "^num_states must be an integer, got 2.7$"),
+        (("3", 2), "^num_states must be an integer, got '3'$"),
+        ((2, 0), "^num_symbols must be >= 1, got 0$"),
+        ((2, 2.7), "^num_symbols must be an integer, got 2.7$"),
+        ((2, "3"), "^num_symbols must be an integer, got '3'$"),
+    ],
+)
+def test_mle_counts_are_positive_integers(counts, message):
+    with pytest.raises(ValueError, match=message):
+        mle_complete([([0, 1], [0, 1])], *counts)
+
+
+def test_mle_refuses_count_tables_over_the_byte_budget_before_counting(monkeypatch):
+    # 512 states: the 512 x 512 transition counts need 2 MiB, the 512 x 2 emission counts 8 KiB
+    monkeypatch.setattr("dbnkit.models.MAX_ARRAY_BYTES", 2**20)
+    data = [([0, 1], [0, 1])]
+    with pytest.raises(SizeCapError, match=r"^transition counts \(512 x 512\) needs 2097152 bytes"):
+        mle_complete(data, 512, 2)
+    with pytest.raises(SizeCapError, match=r"^emission counts \(2 x 65537\) needs 1048592 bytes"):
+        mle_complete(data, 2, 65537)
+    assert mle_complete(data, 362, 2).num_states == 362

@@ -375,3 +375,35 @@ def test_validate_obs_refuses_an_evidence_table_over_the_byte_budget():
     assert validate_obs(m, np.zeros((steps, 4), dtype=np.int64)).shape == (steps, 4)
     with pytest.raises(SizeCapError, match=rf"evidence table \({steps + 1} x 923521\)"):
         validate_obs(m, np.zeros((steps + 1, 4), dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "build, obs, error, message",
+    [
+        (lambda: HmmModel(pi=[0.5, 0.5], trans=np.eye(2), emit=np.eye(2)), [[0, 1]], ObservationError,
+         r"^expected a 1-D symbol sequence, got shape \(1, 2\)$"),
+        (lambda: Tbn2Model(variables=[_chain_var()]), [[0, 1]], ObservationError,
+         r"^expected a 1-D assignment sequence, got shape \(1, 2\)$"),
+        (object, [0, 1], TypeError, "^unsupported model type object$"),
+    ],
+    ids=["hmm-2-d", "tbn2-2-d", "unknown-model"],
+)
+def test_validate_obs_refuses_a_2_d_sequence_for_one_chain_and_an_unknown_model(build, obs, error, message):
+    with pytest.raises(error, match=message):
+        validate_obs(build(), obs)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ChmmModel(initials=[], emissions=[], couplings={}), "^model must have at least one chain$"),
+        (lambda: Tbn2Model(variables=[]), "^model must have at least one variable$"),
+        (lambda: HmmModel(pi=[[0.5, 0.5]], trans=np.eye(2), emit=np.eye(2)),
+         r"^pi must be 1-dimensional, got shape \(1, 2\)$"),
+        (lambda: _var_with(card=None), "^card must be an integer, got None$"),
+    ],
+    ids=["no-chain", "no-variable", "2-d-pi", "card-none"],
+)
+def test_a_model_with_no_chain_no_variable_a_2_d_pi_or_no_card_is_refused(build, message):
+    with pytest.raises(ModelValidationError, match=message):
+        build()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dbnkit import HmmModel, SizeCapError
+from dbnkit import HmmModel, ImpossibleObservationError, SizeCapError
 from dbnkit.oracle import enum_likelihood, enum_map_path, enum_posterior
 
 
@@ -54,3 +54,10 @@ def test_deterministic_model_has_unique_path():
 def test_size_guard(worked_model):
     with pytest.raises(SizeCapError):
         enum_likelihood(worked_model, np.zeros(21, dtype=int))
+
+
+def test_posterior_of_an_impossible_sequence_blames_no_step():
+    m = HmmModel(pi=[1.0, 0.0], trans=np.eye(2), emit=np.eye(2))
+    with pytest.raises(ImpossibleObservationError, match="^observation sequence is impossible under the model$") as got:
+        enum_posterior(m, [0, 1])
+    assert got.value.t is None

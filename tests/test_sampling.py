@@ -207,3 +207,35 @@ def test_a_2tbn_is_sampled_without_an_identity_emission_table():
 def test_sample_refuses_an_unknown_model_type():
     with pytest.raises(TypeError, match="^cannot sample from model type dict$"):
         sample({}, 5, seed=0)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: random_hmm(0, 2, 0), "^num_states must be >= 1, got 0$"),
+        (lambda: random_hmm(2.7, 2, 0), "^num_states must be an integer, got 2.7$"),
+        (lambda: random_hmm(2, "3", 0), "^num_symbols must be an integer, got '3'$"),
+        (lambda: random_chmm([2.7, 3], [2, 2], 0), r"^states_per_chain\[0\] must be an integer, got 2.7$"),
+        (lambda: random_chmm([2, 3], [2, 2.2], 0), r"^symbols_per_chain\[1\] must be an integer, got 2.2$"),
+        (lambda: random_chmm(["3"], [2], 0), r"^states_per_chain\[0\] must be an integer, got '3'$"),
+        (lambda: random_chmm([2], [0], 0), r"^symbols_per_chain\[0\] must be >= 1, got 0$"),
+        (lambda: random_chmm([2, 2], [2], 0), "^states_per_chain and symbols_per_chain must have the same length$"),
+    ],
+    ids=["hmm-zero", "hmm-fraction", "hmm-text", "chmm-fraction", "chmm-symbol-fraction", "chmm-text", "chmm-zero",
+         "chmm-lengths"],
+)
+def test_random_model_counts_are_positive_integers(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_random_hmm_refuses_tables_over_the_byte_budget_before_drawing(monkeypatch):
+    monkeypatch.setattr("dbnkit.models.MAX_ARRAY_BYTES", 2**20)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(SizeCapError, match=r"^transition table \(512 x 512\) needs 2097152 bytes"):
+        random_hmm(512, 2, rng)
+    with pytest.raises(SizeCapError, match=r"^emission table \(2 x 65537\) needs 1048592 bytes"):
+        random_hmm(2, 65537, rng)
+    assert rng.bit_generator.state == state
+    assert random_hmm(362, 2, rng).num_states == 362
